@@ -9,8 +9,10 @@
 //! contradicting the paper's Observation 2 and thereby justifying the
 //! default.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
-use convergence::experiment::ProtocolFactory;
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::{ExperimentConfig, ProtocolFactory};
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use routing_core::damping::DampingMode;
@@ -34,9 +36,9 @@ fn with_mode(kind: ProtocolKind, mode: DampingMode) -> ProtocolFactory {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_damping", args);
     println!("Ablation A4 — triggered-update damping semantics, {runs} runs/point\n");
 
@@ -51,16 +53,15 @@ fn main() {
                 ("first-immediate", DampingMode::FirstImmediate),
                 ("delayed-flush", DampingMode::DelayedFlush),
             ] {
-                let point = sweep_point_observed(
-                    kind,
-                    degree,
-                    runs,
-                    jobs,
-                    &|cfg| {
-                        cfg.protocol_override = Some(with_mode(kind, mode));
-                    },
-                    &mut observer,
+                let mut cfg = ExperimentConfig::paper(kind, degree, 0);
+                cfg.protocol_override = Some(with_mode(kind, mode));
+                let summaries = observer.sweep(
+                    &format!("{kind}/d{degree}"),
+                    &cfg,
+                    point_seed(degree, 0),
+                    |r| summarize_streaming(&r),
                 );
+                let point = aggregate_point(&summaries)?;
                 table.push_row(vec![
                     kind.label().to_string(),
                     degree.to_string(),
@@ -79,6 +80,6 @@ fn main() {
     let path = bench::results_dir().join("ablation_damping.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -7,8 +7,10 @@
 //! RIP is already nearly loop-free via fast poison; hold-down's remaining
 //! effect should be almost purely additional packet loss.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
-use convergence::experiment::ProtocolFactory;
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::{ExperimentConfig, ProtocolFactory};
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use netsim::time::SimDuration;
@@ -24,9 +26,9 @@ fn rip_with_holddown(secs: u64) -> ProtocolFactory {
     })
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_holddown", args);
     println!("Ablation A5 — RIP hold-down timer, {runs} runs/point\n");
 
@@ -41,16 +43,15 @@ fn main() {
             ("15 s", Some(rip_with_holddown(15))),
             ("60 s", Some(rip_with_holddown(60))),
         ] {
-            let point = sweep_point_observed(
-                ProtocolKind::Rip,
-                degree,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.protocol_override = factory.clone();
-                },
-                &mut observer,
+            let mut cfg = ExperimentConfig::paper(ProtocolKind::Rip, degree, 0);
+            cfg.protocol_override = factory;
+            let summaries = observer.sweep(
+                &format!("RIP/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
             );
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),
@@ -69,6 +70,6 @@ fn main() {
     let path = bench::results_dir().join("ablation_holddown.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

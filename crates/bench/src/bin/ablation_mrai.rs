@@ -8,16 +8,18 @@
 //! on a per (neighbor, destination) basis". This binary measures that
 //! difference.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
 use bgp::{Bgp, BgpConfig, MraiScope};
-use convergence::experiment::ExperimentConfig;
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::{ExperimentConfig, ProtocolFactory};
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_mrai", args);
     println!("Ablation A1 — MRAI scope (BGP, 30 s mean), {runs} runs/point\n");
     // We cannot switch the scope through ProtocolKind, so runs are driven
@@ -38,24 +40,25 @@ fn main() {
         .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5, MeshDegree::D6] {
-        let vendor =
-            sweep_point_observed(ProtocolKind::Bgp, degree, runs, jobs, &|_| {}, &mut observer);
-        let pair = sweep_point_observed(
-            ProtocolKind::Bgp,
-            degree,
-            runs,
-            jobs,
-            &|cfg: &mut ExperimentConfig| {
-                cfg.protocol_override =
-                    Some(convergence::experiment::ProtocolFactory::new(|| {
-                        Box::new(Bgp::with_config(BgpConfig {
-                            mrai_scope: MraiScope::PerNeighborDestination,
-                            ..BgpConfig::standard()
-                        }).expect("valid config"))
-                    }));
-            },
-            &mut observer,
-        );
+        let vendor_cfg = ExperimentConfig::paper(ProtocolKind::Bgp, degree, 0);
+        let mut pair_cfg = vendor_cfg.clone();
+        pair_cfg.protocol_override = Some(ProtocolFactory::new(|| {
+            Box::new(Bgp::with_config(BgpConfig {
+                mrai_scope: MraiScope::PerNeighborDestination,
+                ..BgpConfig::standard()
+            }).expect("valid config"))
+        }));
+        let mut point = |cfg: &ExperimentConfig| {
+            let summaries = observer.sweep(
+                &format!("BGP/d{degree}"),
+                cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            aggregate_point(&summaries)
+        };
+        let vendor = point(&vendor_cfg)?;
+        let pair = point(&pair_cfg)?;
         table.push_row(vec![
             degree.to_string(),
             fmt_f64(vendor.ttl_expirations.mean),
@@ -73,6 +76,6 @@ fn main() {
     let path = bench::results_dir().join("ablation_mrai.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

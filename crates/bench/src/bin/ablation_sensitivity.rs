@@ -5,15 +5,18 @@
 //! DBF at degree 4 and checks that the *ratios* (delivery ratio, loop
 //! counts) move little while absolute drop counts scale with the rate.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use netsim::time::SimDuration;
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_sensitivity", args);
     println!("Ablation A3 — parameter sensitivity (DBF, degree 4), {runs} runs/point\n");
 
@@ -22,79 +25,43 @@ fn main() {
             .map(String::from)
             .to_vec(),
     );
-    let mut add = |label: &str, point: convergence::aggregate::PointSummary| {
+    let baseline = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
+    let mut variants = vec![("baseline (50ms detect, 20pps, q20)", baseline.clone())];
+    for (label, detect_ms) in [("detect 5ms", 5u64), ("detect 500ms", 500)] {
+        let mut cfg = baseline.clone();
+        cfg.link.detection_delay = SimDuration::from_millis(detect_ms);
+        variants.push((label, cfg));
+    }
+    for (label, rate) in [("rate 10pps", 10u64), ("rate 100pps", 100)] {
+        let mut cfg = baseline.clone();
+        cfg.traffic.rate_pps = rate;
+        variants.push((label, cfg));
+    }
+    for (label, cap) in [("queue 5", 5usize), ("queue 100", 100)] {
+        let mut cfg = baseline.clone();
+        cfg.link.queue_capacity = cap;
+        variants.push((label, cfg));
+    }
+    for (label, delay_ms) in [("prop 0.1ms", 1u64), ("prop 10ms", 100)] {
+        let mut cfg = baseline.clone();
+        cfg.link.propagation_delay = SimDuration::from_micros(delay_ms * 100);
+        variants.push((label, cfg));
+    }
+    for (label, cfg) in &variants {
+        let summaries = observer.sweep(
+            "DBF/d4",
+            cfg,
+            point_seed(MeshDegree::D4, 0),
+            |r| summarize_streaming(&r),
+        );
+        let point = aggregate_point(&summaries)?;
         table.push_row(vec![
-            label.to_string(),
+            (*label).to_string(),
             format!("{:.4}", point.delivery_ratio.mean),
             fmt_f64(point.drops_no_route.mean),
             fmt_f64(point.ttl_expirations.mean),
             fmt_f64(point.routing_convergence_s.mean),
         ]);
-    };
-
-    add(
-        "baseline (50ms detect, 20pps, q20)",
-        sweep_point_observed(ProtocolKind::Dbf, MeshDegree::D4, runs, jobs, &|_| {}, &mut observer),
-    );
-    for (label, detect_ms) in [("detect 5ms", 5u64), ("detect 500ms", 500)] {
-        add(
-            label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.detection_delay = SimDuration::from_millis(detect_ms);
-                },
-                &mut observer,
-            ),
-        );
-    }
-    for (label, rate) in [("rate 10pps", 10u64), ("rate 100pps", 100)] {
-        add(
-            label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.traffic.rate_pps = rate;
-                },
-                &mut observer,
-            ),
-        );
-    }
-    for (label, cap) in [("queue 5", 5usize), ("queue 100", 100)] {
-        add(
-            label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.queue_capacity = cap;
-                },
-                &mut observer,
-            ),
-        );
-    }
-    for (label, delay_ms) in [("prop 0.1ms", 1u64), ("prop 10ms", 100)] {
-        add(
-            label,
-            sweep_point_observed(
-                ProtocolKind::Dbf,
-                MeshDegree::D4,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.link.propagation_delay = SimDuration::from_micros(delay_ms * 100);
-                },
-                &mut observer,
-            ),
-        );
     }
     println!("{}", table.render());
     println!("expected: delivery ratio moves by at most a few percent across the");
@@ -103,6 +70,6 @@ fn main() {
     let path = bench::results_dir().join("ablation_sensitivity.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -4,8 +4,10 @@
 //! Runs DBF with poisoned reverse (default), simple split horizon, and no
 //! split horizon at the loop-prone sparse degrees.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
-use convergence::experiment::ProtocolFactory;
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::{ExperimentConfig, ProtocolFactory};
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use dbf::{Dbf, DbfConfig};
@@ -21,9 +23,9 @@ fn dbf_with(mode: SplitHorizon) -> ProtocolFactory {
     })
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ablation_split_horizon", args);
     println!("Ablation A2 — split-horizon modes (DBF), {runs} runs/point\n");
 
@@ -39,16 +41,15 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D5] {
         for (label, mode) in modes {
-            let point = sweep_point_observed(
-                ProtocolKind::Dbf,
-                degree,
-                runs,
-                jobs,
-                &|cfg| {
-                    cfg.protocol_override = Some(dbf_with(mode));
-                },
-                &mut observer,
+            let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, degree, 0);
+            cfg.protocol_override = Some(dbf_with(mode));
+            let summaries = observer.sweep(
+                &format!("DBF/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
             );
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),
@@ -66,6 +67,6 @@ fn main() {
     let path = bench::results_dir().join("ablation_split_horizon.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -3,11 +3,13 @@
 //!
 //! The workload is the paper's DBF degree-4 point (DBF produces the
 //! richest event traces — transient loops, TTL drops, update storms).
-//! Three legs run the identical seeded work:
+//! Three legs run the identical seeded work through the one sweep the
+//! figure binaries use (`convergence::aggregate::sweep`), differing only
+//! in worker count and per-run fold:
 //!
-//! 1. sequential, trace-based metrics (the pre-optimization baseline),
-//! 2. parallel (`--jobs`, default 4), trace-based metrics,
-//! 3. parallel, streaming metrics (traces folded and discarded).
+//! 1. sequential, seven-pass `summarize` (the baseline),
+//! 2. parallel (`--jobs`, default 4), `summarize`,
+//! 3. parallel, `summarize_streaming` (single-pass observers).
 //!
 //! The harness asserts that all three legs agree — byte-identical CSV
 //! for 1 vs 2, identical `RunSummary` values for 1 vs 3 — so every
@@ -20,10 +22,6 @@
 use std::time::Instant;
 
 use bench::{point_seed, sweep_args};
-use convergence::aggregate::aggregate_point;
-use convergence::metrics::streaming::summarize_streaming;
-use convergence::metrics::summary::{summarize, RunSummary};
-use convergence::parallel::par_map_indexed;
 use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
@@ -31,9 +29,28 @@ use topology::mesh::MeshDegree;
 const PROTOCOL: ProtocolKind = ProtocolKind::Dbf;
 const DEGREE: MeshDegree = MeshDegree::D4;
 
-fn run_one(i: usize) -> RunResult {
-    let cfg = ExperimentConfig::paper(PROTOCOL, DEGREE, point_seed(DEGREE, i));
-    run(&cfg).unwrap_or_else(|e| panic!("run {i} failed: {e}"))
+/// One timed leg: the workload's sweep on `jobs` workers, folding each
+/// run with `fold`. Returns the summaries, the events processed and the
+/// wall seconds.
+///
+/// # Panics
+///
+/// Panics if any slot fails (the paper's regular meshes never do).
+fn leg(
+    runs: usize,
+    jobs: usize,
+    fold: fn(&RunResult) -> Result<RunSummary, MetricsError>,
+) -> (Vec<RunSummary>, u64, f64) {
+    let cfg = ExperimentConfig::paper(PROTOCOL, DEGREE, 0);
+    let t0 = Instant::now();
+    let base_seed = point_seed(DEGREE, 0);
+    let outcome = sweep(&cfg, runs, base_seed, jobs, |r| fold(&r), &|_| {});
+    let seconds = t0.elapsed().as_secs_f64();
+    if let Some(failed) = outcome.failed.first() {
+        panic!("slot {} failed: {}", failed.slot, failed.error);
+    }
+    let events = outcome.telemetry.iter().map(|t| t.events_processed).sum();
+    (outcome.values, events, seconds)
 }
 
 /// Renders the sweep's aggregate exactly the way a figure binary would,
@@ -89,31 +106,20 @@ fn main() {
          ({cores} cores, {jobs_effective} effective)"
     );
 
-    // Leg 1: sequential, trace-based (the baseline all else must match).
-    let t0 = Instant::now();
-    let mut events_total = 0u64;
-    let mut seq_summaries = Vec::with_capacity(runs);
-    for i in 0..runs {
-        let result = run_one(i);
-        events_total += result.stats.events_processed;
-        seq_summaries.push(summarize(&result).expect("summary"));
-    }
-    let sequential_s = t0.elapsed().as_secs_f64();
+    // Leg 1: sequential, seven-pass (the baseline all else must match).
+    let (seq_summaries, events_total, sequential_s) = leg(runs, 1, summarize);
     let seq_csv = point_csv(&seq_summaries);
     println!("  sequential/trace   {sequential_s:.3}s");
 
-    // Leg 2: parallel, trace-based. Must reproduce the CSV byte for byte.
-    let t0 = Instant::now();
-    let par_summaries = par_map_indexed(runs, jobs, |i| summarize(&run_one(i)).expect("summary"));
-    let parallel_s = t0.elapsed().as_secs_f64();
+    // Leg 2: parallel, seven-pass. Must reproduce the CSV byte for byte.
+    let (par_summaries, par_events, parallel_s) = leg(runs, jobs, summarize);
     let par_csv = point_csv(&par_summaries);
     assert_eq!(seq_csv, par_csv, "parallel sweep changed the CSV bytes");
+    assert_eq!(events_total, par_events, "parallel sweep changed the work");
     println!("  parallel/trace     {parallel_s:.3}s");
 
     // Leg 3: parallel, streaming fold. Must reproduce every RunSummary.
-    let t0 = Instant::now();
-    let stream_summaries = par_map_indexed(runs, jobs, |i| summarize_streaming(&run_one(i)).expect("summary"));
-    let streaming_s = t0.elapsed().as_secs_f64();
+    let (stream_summaries, _, streaming_s) = leg(runs, jobs, summarize_streaming);
     assert_eq!(
         seq_summaries, stream_summaries,
         "streaming fold changed a RunSummary"

@@ -8,14 +8,17 @@
 //! that claim: DUAL (zero loops by construction, diffusion freeze) against
 //! DBF (instant switch-over, occasional loops) and BGP-3.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_dual", args);
     println!("Extension E6 — DUAL vs the distance-vector family, {runs} runs/point\n");
 
@@ -27,7 +30,14 @@ fn main() {
     );
     for degree in MeshDegree::ALL {
         for protocol in protocols {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 degree.to_string(),
                 protocol.label().to_string(),
@@ -48,6 +58,6 @@ fn main() {
     let path = bench::results_dir().join("ext_dual.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

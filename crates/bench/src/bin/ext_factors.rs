@@ -9,14 +9,17 @@
 //! delivered packets (valid-but-suboptimal alternates show up as stretch
 //! just above 1).
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_factors", args);
     println!("Extension E7 — §4 factors: switch-over windows and path stretch, {runs} runs/point\n");
 
@@ -27,7 +30,14 @@ fn main() {
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 degree.to_string(),
                 protocol.label().to_string(),
@@ -46,6 +56,6 @@ fn main() {
     let path = bench::results_dir().join("ext_factors.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -6,7 +6,7 @@
 //! network has physically stabilized. This experiment flaps one on-path
 //! link several times and compares BGP-3 with damping off vs on.
 
-use bench::{point_seed, sweep_args, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
 use bgp::{Bgp, BgpConfig, FlapConfig};
 use convergence::experiment::ProtocolFactory;
 use convergence::failure::FailurePlan;
@@ -24,9 +24,9 @@ fn bgp3_with_damping() -> ProtocolFactory {
     })
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_flap", args);
     println!("Extension E4 — route-flap damping vs a flapping link, {runs} runs/point");
     println!("(BGP-3; 3 flap cycles of 2 s down / 3 s up, then stable)\n");
@@ -47,26 +47,14 @@ fn main() {
             ("rfc2439 (10s half-life)", Some(bgp3_with_damping())),
         ] {
             let sweep_label = format!("BGP-3/d{degree}/damping-{label}");
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(
-                runs,
-                jobs,
-                |i| {
-                    let mut cfg =
-                        ExperimentConfig::paper(ProtocolKind::Bgp3, degree, point_seed(degree, i));
-                    cfg.failure = flapping.clone();
-                    cfg.traffic.tail = SimDuration::from_secs(60);
-                    cfg.protocol_override = factory.clone();
-                    let result = run(&cfg).expect("run succeeds");
-                    let telemetry =
-                        run_telemetry(i as u64, cfg.seed, 1, ProtocolKind::Bgp3.label(), &result);
-                    (summarize_streaming(&result).expect("summary"), telemetry)
-                },
-                &|i| meter.tick(i),
-            );
-            let (summaries, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
-            let point = convergence::aggregate::aggregate_point(&summaries).expect("nonempty sweep");
+            let mut cfg = ExperimentConfig::paper(ProtocolKind::Bgp3, degree, 0);
+            cfg.failure = flapping.clone();
+            cfg.traffic.tail = SimDuration::from_secs(60);
+            cfg.protocol_override = factory;
+            let summaries = observer.sweep(&sweep_label, &cfg, point_seed(degree, 0), |r| {
+                summarize_streaming(&r)
+            });
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 degree.to_string(),
                 label.to_string(),
@@ -85,6 +73,6 @@ fn main() {
     let path = bench::results_dir().join("ext_flap.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -1,17 +1,18 @@
 //! Extension E2 (paper §6 future work): multiple sender/receiver pairs,
 //! multiple simultaneous link failures, and whole-router failures.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
 use convergence::failure::FailurePlan;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-type Customizer = Box<dyn Fn(&mut convergence::experiment::ExperimentConfig) + Sync>;
-
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_multi", args);
     println!("Extension E2 — multiple flows / failures, {runs} runs/point\n");
 
@@ -23,38 +24,28 @@ fn main() {
     );
     for degree in [MeshDegree::D4, MeshDegree::D6] {
         for protocol in protocols {
-            let scenarios: [(&str, Customizer); 4] = [
-                ("baseline", Box::new(|_| {})),
-                (
-                    "5 flows",
-                    Box::new(|cfg| {
-                        cfg.traffic.flows = 5;
-                    }),
-                ),
-                (
-                    "2 link failures",
-                    Box::new(|cfg| {
-                        cfg.failure = FailurePlan::MultipleLinks { count: 2 };
-                    }),
-                ),
-                (
-                    "router failure",
-                    Box::new(|cfg| {
-                        cfg.failure = FailurePlan::NodeOnPath;
-                    }),
-                ),
-            ];
-            for (label, customize) in &scenarios {
-                let point = sweep_point_observed(
-                    protocol,
-                    degree,
-                    runs,
-                    jobs,
-                    customize.as_ref(),
-                    &mut observer,
+            let baseline = ExperimentConfig::paper(protocol, degree, 0);
+            let mut five_flows = baseline.clone();
+            five_flows.traffic.flows = 5;
+            let mut two_links = baseline.clone();
+            two_links.failure = FailurePlan::MultipleLinks { count: 2 };
+            let mut router = baseline.clone();
+            router.failure = FailurePlan::NodeOnPath;
+            for (label, cfg) in [
+                ("baseline", baseline),
+                ("5 flows", five_flows),
+                ("2 link failures", two_links),
+                ("router failure", router),
+            ] {
+                let summaries = observer.sweep(
+                    &format!("{protocol}/d{degree}"),
+                    &cfg,
+                    point_seed(degree, 0),
+                    |r| summarize_streaming(&r),
                 );
+                let point = aggregate_point(&summaries)?;
                 table.push_row(vec![
-                    (*label).to_string(),
+                    label.to_string(),
                     degree.to_string(),
                     protocol.label().to_string(),
                     format!("{:.4}", point.delivery_ratio.mean),
@@ -72,6 +63,6 @@ fn main() {
     let path = bench::results_dir().join("ext_multi.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

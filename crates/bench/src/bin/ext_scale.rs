@@ -17,11 +17,11 @@ use convergence::prelude::*;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let args = SweepArgs { runs: args.runs.min(30), ..args };
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_scale", args);
-    let runs = runs.min(30);
     println!("Extension E5 — mesh size scaling (degree 8), {runs} runs/point\n");
 
     let mut table = Table::new(
@@ -32,31 +32,17 @@ fn main() {
     for size in [7usize, 10, 13, 15] {
         for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
             let sweep_label = format!("{}/mesh-{size}x{size}", protocol.label());
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(
-                runs,
-                jobs,
-                |i| {
-                    let mut cfg = ExperimentConfig::paper(
-                        protocol,
-                        MeshDegree::D8,
-                        BASE_SEED + size as u64 * 1000 + i as u64,
-                    );
-                    cfg.topology = TopologySpec::Mesh {
-                        rows: size,
-                        cols: size,
-                        degree: MeshDegree::D8,
-                    };
-                    let result = run(&cfg).expect("run succeeds");
-                    let telemetry =
-                        run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-                    (summarize_streaming(&result).expect("summary"), telemetry)
-                },
-                &|i| meter.tick(i),
-            );
-            let (summaries, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
-            let point = convergence::aggregate::aggregate_point(&summaries).expect("nonempty sweep");
+            let mut cfg = ExperimentConfig::paper(protocol, MeshDegree::D8, 0);
+            cfg.topology = TopologySpec::Mesh {
+                rows: size,
+                cols: size,
+                degree: MeshDegree::D8,
+            };
+            let summaries =
+                observer.sweep(&sweep_label, &cfg, BASE_SEED + size as u64 * 1000, |r| {
+                    summarize_streaming(&r)
+                });
+            let point = aggregate_point(&summaries)?;
             table.push_row(vec![
                 format!("{size}x{size}"),
                 (size * size).to_string(),
@@ -76,6 +62,6 @@ fn main() {
     let path = bench::results_dir().join("ext_scale.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -6,14 +6,17 @@
 //! distance-vector exploration — the hypothesis the paper's future-work
 //! section wants tested.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::{aggregate_point, PointSummary};
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_spf", args);
     println!("Extension E1 — SPF and DUAL vs the paper's family, {runs} runs/point\n");
 
@@ -23,11 +26,18 @@ fn main() {
             .to_vec(),
     );
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
-        let points: Vec<_> = ProtocolKind::ALL
-            .iter()
-            .map(|&p| sweep_point_observed(p, degree, runs, jobs, &|_| {}, &mut observer))
-            .collect();
-        let mut row = |metric: &str, f: &dyn Fn(&convergence::aggregate::PointSummary) -> f64| {
+        let mut points = Vec::with_capacity(ProtocolKind::ALL.len());
+        for protocol in ProtocolKind::ALL {
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            points.push(aggregate_point(&summaries)?);
+        }
+        let mut row = |metric: &str, f: &dyn Fn(&PointSummary) -> f64| {
             table.push_row(
                 std::iter::once(degree.to_string())
                     .chain(std::iter::once(metric.to_string()))
@@ -47,6 +57,6 @@ fn main() {
     let path = bench::results_dir().join("ext_spf.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -12,11 +12,11 @@ use convergence::report::{fmt_f64, Table};
 use netsim::time::SimDuration;
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let args = SweepArgs { runs: args.runs.min(50), ..args };
+    let runs = args.runs;
     let mut observer = SweepObserver::new("ext_tcp", args);
-    let runs = runs.min(50);
     println!("Extension E3 — go-back-N transfer across a failure, {runs} runs/point\n");
 
     let mut table = Table::new(
@@ -33,17 +33,15 @@ fn main() {
     for degree in [MeshDegree::D3, MeshDegree::D4, MeshDegree::D6] {
         for protocol in ProtocolKind::PAPER {
             let sweep_label = format!("{}/d{degree}/gbn", protocol.label());
-            let meter = observer.meter(&sweep_label, runs);
-            let per_run = par_map_indexed_with(runs, jobs, |i| {
-                let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-                cfg.traffic.mode = TrafficMode::GoBackN(GoBackNConfig {
-                    total_packets: 20_000,
-                    ..GoBackNConfig::default()
-                });
-                cfg.traffic.lead = SimDuration::from_secs(2);
-                cfg.traffic.tail = SimDuration::from_secs(120);
-                cfg.drain = SimDuration::from_secs(300);
-                let result = run(&cfg).expect("run succeeds");
+            let mut cfg = ExperimentConfig::paper(protocol, degree, 0);
+            cfg.traffic.mode = TrafficMode::GoBackN(GoBackNConfig {
+                total_packets: 20_000,
+                ..GoBackNConfig::default()
+            });
+            cfg.traffic.lead = SimDuration::from_secs(2);
+            cfg.traffic.tail = SimDuration::from_secs(120);
+            cfg.drain = SimDuration::from_secs(300);
+            let per_run = observer.sweep(&sweep_label, &cfg, point_seed(degree, 0), |result| {
                 let report = &result.flow_reports[0];
                 // Stall: longest gap between progress events after the
                 // failure.
@@ -56,11 +54,8 @@ fn main() {
                 let done = report
                     .completed_at
                     .map(|done| done.saturating_since(result.t_fail).as_secs_f64());
-                let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-                ((stall, report.retransmissions as f64, done), telemetry)
-            }, &|i| meter.tick(i));
-            let (per_run, rows): (Vec<_>, Vec<_>) = per_run.into_iter().unzip();
-            observer.push_rows(&sweep_label, rows);
+                Ok((stall, report.retransmissions as f64, done))
+            });
             let stalls: Vec<f64> = per_run.iter().map(|&(s, _, _)| s).collect();
             let retx: Vec<f64> = per_run.iter().map(|&(_, r, _)| r).collect();
             let completion: Vec<f64> = per_run.iter().filter_map(|&(_, _, c)| c).collect();
@@ -86,6 +81,6 @@ fn main() {
     let path = bench::results_dir().join("ext_tcp.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -4,14 +4,17 @@
 //! Paper shape to reproduce: drops fall as the degree rises; at degree ≥ 6
 //! DBF/BGP/BGP-3 drop virtually nothing while RIP remains clearly worst.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig3_drops", args);
     println!("Figure 3 — packet drops (no route) vs node degree, {runs} runs/point\n");
 
@@ -23,7 +26,14 @@ fn main() {
     for degree in MeshDegree::ALL {
         let mut row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            let point = aggregate_point(&summaries)?;
             row.push(fmt_f64(point.drops_no_route.mean));
         }
         table.push_row(row);
@@ -36,6 +46,6 @@ fn main() {
     let path = bench::results_dir().join("fig3_drops.csv");
     table.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -5,14 +5,17 @@
 //! BGP has the most, roughly the MRAI ratio (~10×) above BGP-3; loops
 //! disappear in densely connected meshes.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig4_ttl", args);
     println!("Figure 4 — TTL expirations during convergence, {runs} runs/point\n");
 
@@ -30,7 +33,14 @@ fn main() {
         let mut ttl_row = vec![degree.to_string()];
         let mut loop_row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            let point = aggregate_point(&summaries)?;
             ttl_row.push(fmt_f64(point.ttl_expirations.mean));
             loop_row.push(fmt_f64(point.looped_packets.mean));
         }
@@ -48,6 +58,6 @@ fn main() {
     let path = bench::results_dir().join("fig4_ttl.csv");
     ttl.write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

@@ -7,14 +7,17 @@
 //! packet-drop difference between BGP and BGP-3 is negligible — fast
 //! convergence is not the same thing as good packet delivery.
 
-use bench::{sweep_args, sweep_point_observed, SweepArgs, SweepObserver};
+use bench::{point_seed, sweep_args, SweepObserver};
+use convergence::aggregate::aggregate_point;
+use convergence::experiment::ExperimentConfig;
+use convergence::metrics::streaming::summarize_streaming;
 use convergence::protocols::ProtocolKind;
 use convergence::report::{fmt_f64, Table};
 use topology::mesh::MeshDegree;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args();
-    let SweepArgs { runs, jobs, .. } = args;
+    let runs = args.runs;
     let mut observer = SweepObserver::new("fig6_convergence", args);
     println!("Figure 6 — convergence times vs node degree, {runs} runs/point\n");
 
@@ -27,7 +30,14 @@ fn main() {
         let mut fwd_row = vec![degree.to_string()];
         let mut rt_row = vec![degree.to_string()];
         for protocol in ProtocolKind::PAPER {
-            let point = sweep_point_observed(protocol, degree, runs, jobs, &|_| {}, &mut observer);
+            let cfg = ExperimentConfig::paper(protocol, degree, 0);
+            let summaries = observer.sweep(
+                &format!("{protocol}/d{degree}"),
+                &cfg,
+                point_seed(degree, 0),
+                |r| summarize_streaming(&r),
+            );
+            let point = aggregate_point(&summaries)?;
             fwd_row.push(fmt_f64(point.forwarding_convergence_s.mean));
             rt_row.push(fmt_f64(point.routing_convergence_s.mean));
         }
@@ -55,6 +65,6 @@ fn main() {
             .join("fig6b_routing_convergence.csv")
             .display()
     );
-    let tpath = observer.finish().expect("write telemetry");
-    println!("wrote {}", tpath.display());
+    println!("wrote {}", observer.finish()?.display());
+    Ok(())
 }

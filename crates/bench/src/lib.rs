@@ -2,7 +2,10 @@
 //!
 //! Each binary in `src/bin/` regenerates one of the paper's figures or an
 //! ablation; `benches/` holds criterion benchmarks. This library provides
-//! the shared sweep drivers.
+//! the shared command line and [`SweepObserver::sweep`], the one sweep
+//! every figure binary runs: core's hardened
+//! [`sweep`](convergence::aggregate::sweep) plus progress, telemetry and
+//! failure reporting.
 //!
 //! Every binary accepts an optional positional argument (the number of
 //! randomized runs per sweep point; default 100, the paper's count), a
@@ -18,14 +21,13 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use convergence::aggregate::{aggregate_point, run_telemetry, PointSummary};
+use std::fmt;
+use std::path::PathBuf;
+
+use convergence::aggregate::sweep;
 use convergence::experiment::ExperimentConfig;
-use convergence::metrics::series::{delay_series, throughput_series};
-use convergence::metrics::streaming::summarize_streaming;
-use convergence::metrics::summary::{summarize, RunSummary};
-use convergence::parallel::par_map_indexed_with;
-use convergence::protocols::ProtocolKind;
-use convergence::runner::{run, RunResult};
+use convergence::metrics::MetricsError;
+use convergence::runner::RunResult;
 use obs::progress::Progress;
 use obs::telemetry::{render_jsonl, RunTelemetry};
 use topology::mesh::MeshDegree;
@@ -114,17 +116,6 @@ pub fn parse_sweep_args<I: Iterator<Item = String>>(
     parsed
 }
 
-/// Parses the optional runs-per-point argument (compatibility wrapper
-/// over [`sweep_args`]; `--jobs` is accepted but ignored by the caller).
-///
-/// # Panics
-///
-/// Panics with a usage message when the argument is not a number.
-#[must_use]
-pub fn runs_from_args() -> usize {
-    sweep_args().runs
-}
-
 /// A deterministic seed for a sweep point. Seeds depend on the degree and
 /// run index but *not* the protocol, so all protocols face the identical
 /// scenario sequence (flows, failed links) at each degree — the paper
@@ -134,63 +125,79 @@ pub fn point_seed(degree: MeshDegree, run_index: usize) -> u64 {
     BASE_SEED + u64::from(degree.as_u32()) * 100_000 + run_index as u64
 }
 
-/// Collects per-run telemetry across a bench binary's sweeps and, when
-/// `--progress` was given, reports live completion on stderr.
+/// Runs a bench binary's sweeps and collects their per-run telemetry.
 ///
-/// One observer lives per binary: each observed sweep appends its rows
-/// (stamped with a `label/slot` context), and [`SweepObserver::finish`]
-/// writes everything as `results/telemetry/<bin>.jsonl` — the per-target
-/// stream `run_all` merges into `results/telemetry.jsonl`. The rows are
-/// in sweep-then-slot order and contain no wall-clock values, so the file
-/// bytes are deterministic for a fixed seed and any `--jobs` count; the
-/// wall clock is used only for the (stderr) ETA display.
+/// One observer lives per binary, built from the parsed [`SweepArgs`]:
+/// every [`SweepObserver::sweep`] runs `runs` slots on `jobs` workers,
+/// reports live completion on stderr when `--progress` was given, and
+/// appends its telemetry rows (stamped with the sweep's label).
+/// [`SweepObserver::finish`] writes everything as
+/// `results/telemetry/<bin>.jsonl` — the per-target stream `run_all`
+/// merges into `results/telemetry.jsonl`. The rows are in sweep-then-slot
+/// order and contain no wall-clock values, so the file bytes are
+/// deterministic for a fixed seed and any `--jobs` count; the wall clock
+/// is used only for the (stderr) ETA display.
 #[derive(Debug)]
 pub struct SweepObserver {
     bin: &'static str,
-    progress: bool,
+    args: SweepArgs,
     started: std::time::Instant,
     rows: Vec<RunTelemetry>,
 }
 
 impl SweepObserver {
-    /// An observer for the binary `bin` honouring the parsed `--progress`
-    /// flag.
+    /// An observer for the binary `bin` running sweeps as `args` says.
     #[must_use]
     pub fn new(bin: &'static str, args: SweepArgs) -> Self {
         SweepObserver {
             bin,
-            progress: args.progress,
+            args,
             started: std::time::Instant::now(),
             rows: Vec::new(),
         }
     }
 
-    /// An observer that neither prints progress nor is ever finished —
-    /// what the unobserved sweep wrappers use internally.
-    #[must_use]
-    pub fn quiet(bin: &'static str) -> Self {
-        SweepObserver::new(bin, SweepArgs { progress: false, ..SweepArgs::default() })
-    }
-
-    /// The live progress meter for one sweep of `total` runs. Binaries
-    /// that drive `par_map_indexed_with` themselves pair this with
-    /// [`ProgressMeter::tick`] in the completion callback.
-    #[must_use]
-    pub fn meter(&self, label: &str, total: usize) -> ProgressMeter {
-        ProgressMeter {
-            label: label.to_string(),
-            enabled: self.progress,
-            started: self.started,
-            progress: Progress::new(total),
+    /// Runs one sweep of `config` (slot `i` uses seed `base_seed + i`)
+    /// and returns the folded values of the slots that succeeded, in slot
+    /// order.
+    ///
+    /// Each slot's telemetry row is recorded under `label`; a slot that
+    /// still fails after core's retries is printed on stderr and recorded
+    /// as an `ok=false` row, which [`SweepObserver::finish`] turns into an
+    /// error once the telemetry is on disk.
+    pub fn sweep<T: Send>(
+        &mut self,
+        label: &str,
+        config: &ExperimentConfig,
+        base_seed: u64,
+        fold: impl Fn(RunResult) -> Result<T, MetricsError> + Sync,
+    ) -> Vec<T> {
+        let SweepArgs {
+            runs,
+            jobs,
+            progress,
+        } = self.args;
+        let started = self.started;
+        let meter = Progress::new(runs);
+        let tick = |i| {
+            meter.mark_done(i);
+            if progress {
+                let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                eprintln!("{}", meter.render(label, Some(elapsed)));
+            }
+        };
+        let outcome = sweep(config, runs, base_seed, jobs, fold, &tick);
+        for failed in &outcome.failed {
+            eprintln!(
+                "  {label} slot {} (seed {}) failed after {} attempts: {}",
+                failed.slot, failed.seed, failed.attempts, failed.error
+            );
         }
-    }
-
-    /// Appends one sweep's telemetry rows, stamping each with `label`.
-    pub fn push_rows(&mut self, label: &str, rows: Vec<RunTelemetry>) {
-        for mut row in rows {
+        for mut row in outcome.telemetry {
             row.label = label.to_string();
             self.rows.push(row);
         }
+        outcome.values
     }
 
     /// All rows collected so far, in sweep-then-slot order.
@@ -210,246 +217,51 @@ impl SweepObserver {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn finish(&self) -> std::io::Result<std::path::PathBuf> {
+    /// [`FinishError::Io`] on a filesystem error;
+    /// [`FinishError::FailedRuns`] when the file was written but any slot
+    /// failed, so the binary exits non-zero with its outputs on disk.
+    pub fn finish(&self) -> Result<PathBuf, FinishError> {
         let dir = results_dir().join("telemetry");
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.jsonl", self.bin));
         std::fs::write(&path, self.render_jsonl())?;
-        Ok(path)
-    }
-}
-
-/// Live completion meter for one sweep (see [`SweepObserver::meter`]).
-#[derive(Debug)]
-pub struct ProgressMeter {
-    label: String,
-    enabled: bool,
-    started: std::time::Instant,
-    progress: Progress,
-}
-
-impl ProgressMeter {
-    /// Marks run slot `i` complete; prints a progress line when enabled.
-    pub fn tick(&self, i: usize) {
-        self.progress.mark_done(i);
-        if self.enabled {
-            let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            eprintln!("{}", self.progress.render(&self.label, Some(elapsed)));
+        match self.rows.iter().filter(|row| !row.ok).count() {
+            0 => Ok(path),
+            failed => Err(FinishError::FailedRuns(failed)),
         }
     }
 }
 
-/// The telemetry context label of one (protocol, degree) sweep point.
-fn point_label(protocol: ProtocolKind, degree: MeshDegree) -> String {
-    format!("{protocol}/d{degree}")
+/// Why [`SweepObserver::finish`] failed.
+#[derive(Debug)]
+pub enum FinishError {
+    /// The telemetry file could not be written.
+    Io(std::io::Error),
+    /// The telemetry was written, but this many run slots failed.
+    FailedRuns(usize),
 }
 
-/// Runs `runs` seeded repetitions of the paper experiment for one
-/// (protocol, degree) point on up to `jobs` worker threads, applying
-/// `customize` to each configuration, and maps every result through
-/// `extract`.
-///
-/// Each worker discards the run's trace as soon as `extract` returns, so
-/// the sweep retains `runs × T`, never `runs` full traces. Results come
-/// back in run-index order regardless of `jobs`.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-pub fn sweep_map<T: Send>(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    extract: &(dyn Fn(&RunResult, &RunSummary) -> T + Sync),
-) -> Vec<T> {
-    sweep_map_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        customize,
-        extract,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
-
-/// [`sweep_map`] recording per-run telemetry (and live progress) into
-/// `observer`.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-pub fn sweep_map_observed<T: Send>(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    extract: &(dyn Fn(&RunResult, &RunSummary) -> T + Sync),
-    observer: &mut SweepObserver,
-) -> Vec<T> {
-    let label = point_label(protocol, degree);
-    let meter = observer.meter(&label, runs);
-    let slots = par_map_indexed_with(
-        runs,
-        jobs,
-        |i| {
-            let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-            customize(&mut cfg);
-            let result =
-                run(&cfg).unwrap_or_else(|e| panic!("{protocol} d{degree} run {i} failed: {e}"));
-            let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-            let summary = summarize(&result)
-                .unwrap_or_else(|e| panic!("{protocol} d{degree} run {i}: {e}"));
-            (extract(&result, &summary), telemetry)
-        },
-        &|i| meter.tick(i),
-    );
-    let mut out = Vec::with_capacity(slots.len());
-    let mut rows = Vec::with_capacity(slots.len());
-    for (value, telemetry) in slots {
-        out.push(value);
-        rows.push(telemetry);
+impl fmt::Display for FinishError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FinishError::Io(e) => write!(f, "writing telemetry failed: {e}"),
+            FinishError::FailedRuns(n) => write!(f, "{n} run slot(s) failed after retries"),
+        }
     }
-    observer.push_rows(&label, rows);
-    out
 }
 
-/// Runs one sweep point and aggregates the scalar summaries.
-///
-/// Uses the streaming metric observers: each run's trace is folded into
-/// its [`RunSummary`] in a single pass and dropped, so a 100-run point
-/// holds 100 summaries instead of 100 event traces. The summaries are
-/// identical to the trace-based path's.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-#[must_use]
-pub fn sweep_point(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-) -> PointSummary {
-    sweep_point_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        customize,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
+impl std::error::Error for FinishError {}
 
-/// [`sweep_point`] recording per-run telemetry (and live progress) into
-/// `observer`. The telemetry never feeds the aggregated summaries, so
-/// figure CSVs are unchanged by observation.
-///
-/// # Panics
-///
-/// Panics if any run fails (the paper's regular meshes never do).
-#[must_use]
-pub fn sweep_point_observed(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    customize: &(dyn Fn(&mut ExperimentConfig) + Sync),
-    observer: &mut SweepObserver,
-) -> PointSummary {
-    let label = point_label(protocol, degree);
-    let meter = observer.meter(&label, runs);
-    let slots = par_map_indexed_with(
-        runs,
-        jobs,
-        |i| {
-            let mut cfg = ExperimentConfig::paper(protocol, degree, point_seed(degree, i));
-            customize(&mut cfg);
-            let result =
-                run(&cfg).unwrap_or_else(|e| panic!("{protocol} d{degree} run {i} failed: {e}"));
-            let telemetry = run_telemetry(i as u64, cfg.seed, 1, protocol.label(), &result);
-            let summary = summarize_streaming(&result)
-                .unwrap_or_else(|e| panic!("{protocol} d{degree} run {i}: {e}"));
-            (summary, telemetry)
-        },
-        &|i| meter.tick(i),
-    );
-    let mut summaries = Vec::with_capacity(slots.len());
-    let mut rows = Vec::with_capacity(slots.len());
-    for (summary, telemetry) in slots {
-        summaries.push(summary);
-        rows.push(telemetry);
+impl From<std::io::Error> for FinishError {
+    fn from(e: std::io::Error) -> Self {
+        FinishError::Io(e)
     }
-    observer.push_rows(&label, rows);
-    aggregate_point(&summaries).expect("nonempty sweep")
-}
-
-/// Per-run series extracted for the Figure 5/7 time plots.
-#[derive(Debug, Clone)]
-pub struct SeriesPoint {
-    /// Delivered packets per second, seconds relative to failure.
-    pub throughput: Vec<(i64, u64)>,
-    /// Mean delivered-packet delay per second.
-    pub delay: Vec<(i64, Option<f64>)>,
-}
-
-/// Runs a sweep point collecting throughput and delay series over the
-/// window `[from_s, to_s)` seconds around the failure.
-#[must_use]
-pub fn sweep_series(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    from_s: i64,
-    to_s: i64,
-) -> Vec<SeriesPoint> {
-    sweep_series_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        from_s,
-        to_s,
-        &mut SweepObserver::quiet("adhoc"),
-    )
-}
-
-/// [`sweep_series`] recording per-run telemetry (and live progress) into
-/// `observer`.
-#[must_use]
-pub fn sweep_series_observed(
-    protocol: ProtocolKind,
-    degree: MeshDegree,
-    runs: usize,
-    jobs: usize,
-    from_s: i64,
-    to_s: i64,
-    observer: &mut SweepObserver,
-) -> Vec<SeriesPoint> {
-    sweep_map_observed(
-        protocol,
-        degree,
-        runs,
-        jobs,
-        &|_| {},
-        &|result, _| SeriesPoint {
-            throughput: throughput_series(&result.trace, result.t_fail, from_s, to_s),
-            delay: delay_series(&result.trace, result.t_fail, from_s, to_s),
-        },
-        observer,
-    )
 }
 
 /// The directory figure CSVs are written into.
 #[must_use]
-pub fn results_dir() -> std::path::PathBuf {
-    std::path::PathBuf::from("results")
+pub fn results_dir() -> PathBuf {
+    PathBuf::from("results")
 }
 
 /// Renders a compact ASCII sparkline of a numeric series (for terminal
@@ -472,6 +284,10 @@ pub fn sparkline(values: &[f64], max_hint: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use convergence::aggregate::aggregate_point;
+    use convergence::failure::FailurePlan;
+    use convergence::metrics::streaming::summarize_streaming;
+    use convergence::protocols::ProtocolKind;
 
     #[test]
     fn point_seeds_are_unique_per_degree_and_run() {
@@ -528,32 +344,50 @@ mod tests {
         let _ = parse_sweep_args(["1".to_string(), "2".to_string()].into_iter(), None);
     }
 
+    fn observer(runs: usize, jobs: usize) -> SweepObserver {
+        let args = SweepArgs {
+            runs,
+            jobs,
+            progress: false,
+        };
+        SweepObserver::new("test", args)
+    }
+
+    /// One fig3-style point: `protocol` at degree 6, aggregated.
+    fn point(
+        observer: &mut SweepObserver,
+        protocol: ProtocolKind,
+    ) -> convergence::aggregate::PointSummary {
+        let degree = MeshDegree::D6;
+        let cfg = ExperimentConfig::paper(protocol, degree, 0);
+        let summaries = observer.sweep(
+            &format!("{protocol}/d{degree}"),
+            &cfg,
+            point_seed(degree, 0),
+            |r| summarize_streaming(&r),
+        );
+        aggregate_point(&summaries).expect("nonempty sweep")
+    }
+
     #[test]
     fn tiny_sweep_runs_end_to_end() {
-        let point = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 2, 1, &|_| {});
+        let point = point(&mut observer(2, 1), ProtocolKind::Spf);
         assert_eq!(point.drops_total.n, 2);
         assert!(point.delivery_ratio.mean > 0.9);
     }
 
     #[test]
-    fn sweep_point_is_identical_for_any_job_count() {
-        let sequential = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 3, 1, &|_| {});
-        let parallel = sweep_point(ProtocolKind::Spf, MeshDegree::D6, 3, 3, &|_| {});
+    fn point_summary_is_identical_for_any_job_count() {
+        let sequential = point(&mut observer(3, 1), ProtocolKind::Spf);
+        let parallel = point(&mut observer(3, 3), ProtocolKind::Spf);
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn telemetry_bytes_are_identical_for_any_job_count() {
         let jsonl = |jobs: usize| {
-            let mut observer = SweepObserver::quiet("determinism-test");
-            let _ = sweep_point_observed(
-                ProtocolKind::Rip,
-                MeshDegree::D6,
-                3,
-                jobs,
-                &|_| {},
-                &mut observer,
-            );
+            let mut observer = observer(3, jobs);
+            let _ = point(&mut observer, ProtocolKind::Rip);
             observer.render_jsonl().into_bytes()
         };
         let sequential = jsonl(1);
@@ -570,11 +404,15 @@ mod tests {
 
     #[test]
     fn sweep_csv_bytes_are_identical_for_any_job_count() {
+        use convergence::metrics::series::{mean_u64_series, throughput_series};
         use convergence::report::{fmt_f64, Table};
-        let csv = |jobs: usize| {
-            let point = sweep_point(ProtocolKind::Dbf, MeshDegree::D6, 2, jobs, &|_| {});
-            let mut table =
-                Table::new(["delivery", "no-route", "rtconv"].map(String::from).to_vec());
+        let point_csv = |jobs: usize| {
+            let point = point(&mut observer(2, jobs), ProtocolKind::Dbf);
+            let mut table = Table::new(
+                ["delivery", "no-route", "rtconv"]
+                    .map(String::from)
+                    .to_vec(),
+            );
             table.push_row(vec![
                 format!("{:.6}", point.delivery_ratio.mean),
                 fmt_f64(point.drops_no_route.mean),
@@ -582,6 +420,45 @@ mod tests {
             ]);
             table.to_csv().into_bytes()
         };
-        assert_eq!(csv(1), csv(4));
+        assert_eq!(point_csv(1), point_csv(4));
+        // A fig5-style series fold: the per-second throughput of each run,
+        // averaged across runs into the figure's CSV rows.
+        let series_csv = |jobs: usize| {
+            let degree = MeshDegree::D4;
+            let cfg = ExperimentConfig::paper(ProtocolKind::Bgp3, degree, 0);
+            let series = observer(3, jobs).sweep("BGP-3/d4", &cfg, point_seed(degree, 0), |r| {
+                Ok(throughput_series(&r.trace, r.t_fail, -10, 40))
+            });
+            assert_eq!(series.len(), 3);
+            let mut table = Table::new(["t(s)", "BGP-3"].map(String::from).to_vec());
+            for (t, v) in mean_u64_series(&series) {
+                table.push_row(vec![t.to_string(), format!("{v:.1}")]);
+            }
+            table.to_csv().into_bytes()
+        };
+        assert_eq!(series_csv(1), series_csv(4));
+    }
+
+    #[test]
+    fn unsatisfiable_sweep_records_failed_rows_instead_of_panicking() {
+        // 50 simultaneous link failures cannot leave a 49-node mesh
+        // connected: every attempt of every slot is a selection error.
+        let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
+        cfg.failure = FailurePlan::MultipleLinks { count: 50 };
+        let mut observer = observer(3, 2);
+        let values = observer.sweep("DBF/d4/unsatisfiable", &cfg, 1, |r| summarize_streaming(&r));
+        assert!(values.is_empty());
+        assert_eq!(observer.rows().len(), 3);
+        for (i, row) in observer.rows().iter().enumerate() {
+            assert_eq!(row.slot, i as u64);
+            assert!(!row.ok);
+            assert_eq!(row.attempts, 3);
+            assert_eq!(row.label, "DBF/d4/unsatisfiable");
+            assert!(
+                row.error.contains("failure selection failed"),
+                "{}",
+                row.error
+            );
+        }
     }
 }

@@ -1,14 +1,15 @@
 //! Multi-run aggregation: the paper averages every number over 100
 //! randomized runs per (protocol, degree) point.
 //!
-//! Sweeps are embarrassingly parallel — each run slot is a pure function
-//! of its seed — so [`run_many_jobs`] and [`run_sweep_with`] distribute
-//! slots over a [`std::thread::scope`] worker pool and reassemble results
-//! in slot order. For every `jobs` value the output is **bit-identical**
-//! to the sequential execution: same seeds, same summaries, same CSV
-//! bytes downstream. [`SweepMode::Streaming`] additionally folds each
-//! run's trace into the single-pass metric observers and discards it, so
-//! a 100-run sweep holds 100 summaries instead of 100 full event traces.
+//! [`sweep`] is the one way to run them. Sweeps are embarrassingly
+//! parallel — each run slot is a pure function of its seed — so it
+//! distributes slots over the [`par_map_indexed`] worker pool and
+//! reassembles them in slot order. For every `jobs` value the output is
+//! **bit-identical** to the sequential execution: same seeds, same
+//! values, same CSV bytes downstream. Each run is handed to a caller
+//! fold (e.g. [`summarize_streaming`](crate::metrics::streaming::summarize_streaming))
+//! on its worker and dropped there, so a 100-run sweep holds 100 folded
+//! values, never 100 full event traces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,30 +17,10 @@ use obs::telemetry::RunTelemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentConfig;
-use crate::metrics::streaming::summarize_streaming;
-use crate::metrics::summary::{summarize, RunSummary};
+use crate::metrics::summary::RunSummary;
 use crate::metrics::MetricsError;
 use crate::parallel::par_map_indexed;
 use crate::runner::{run, RunError, RunResult};
-
-/// The protocol label a sweep stamps into its telemetry rows: the
-/// configured [`ProtocolKind`](crate::protocols::ProtocolKind) label, or
-/// the instance name reported by a protocol-override factory.
-///
-/// Probing the override costs one throwaway build. The hardened sweep
-/// must survive a panicking factory (that is its contract), so a panic
-/// during the probe is caught here and the label falls back to the
-/// configured kind's.
-#[must_use]
-pub fn protocol_label(config: &ExperimentConfig) -> String {
-    match &config.protocol_override {
-        Some(factory) => {
-            catch_unwind(AssertUnwindSafe(|| factory.build().name().to_string()))
-                .unwrap_or_else(|_| config.protocol.label().to_string())
-        }
-        None => config.protocol.label().to_string(),
-    }
-}
 
 /// Builds the telemetry record of a completed run slot from its engine
 /// counters.
@@ -146,340 +127,125 @@ impl Aggregate {
     }
 }
 
-/// Executes `runs` seeded repetitions of `config` (seeds
-/// `base_seed..base_seed+runs`), returning each run's result and summary.
-///
-/// Sequential convenience wrapper over [`run_many_jobs`].
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot.
-pub fn run_many(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-) -> Result<Vec<(RunResult, RunSummary)>, RunError> {
-    run_many_jobs(config, runs, base_seed, 1)
-}
+/// Attempts per sweep slot, the first included: a slot whose run fails
+/// with a retryable error ([`RunError::is_retryable`]) is reseeded with
+/// [`derive_seed`] until it succeeds or this many attempts are spent.
+pub const MAX_ATTEMPTS: u32 = 3;
 
-/// [`run_many`] on up to `jobs` worker threads (`0` = all available
-/// cores).
+/// The reseed used for attempt `attempt` (0-based) of the slot whose
+/// first attempt used `seed`.
 ///
-/// Per-slot seeds are assigned exactly as in the sequential path, and
-/// results are returned in slot order, so the output is identical for
-/// every `jobs` value.
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot — the same
-/// error the sequential execution would have stopped at.
-pub fn run_many_jobs(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> Result<Vec<(RunResult, RunSummary)>, RunError> {
-    run_many_jobs_observed(config, runs, base_seed, jobs).map(|(results, _)| results)
-}
-
-/// [`run_many_jobs`] that additionally returns one [`RunTelemetry`]
-/// record per run, in slot order. The telemetry is a pure function of the
-/// seeds — byte-identical (once rendered) for every `jobs` value.
-///
-/// # Errors
-///
-/// Returns the [`RunError`] of the lowest-indexed failing slot.
-#[allow(clippy::type_complexity)]
-pub fn run_many_jobs_observed(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> Result<(Vec<(RunResult, RunSummary)>, Vec<RunTelemetry>), RunError> {
-    let protocol = protocol_label(config);
-    let slots: Result<Vec<_>, RunError> = par_map_indexed(runs, jobs, |i| {
-        let mut cfg = config.clone();
-        cfg.seed = base_seed + i as u64;
-        let result = run(&cfg)?;
-        let telemetry = run_telemetry(i as u64, cfg.seed, 1, &protocol, &result);
-        let summary = summarize(&result)?;
-        Ok((result, summary, telemetry))
-    })
-    .into_iter()
-    .collect();
-    let slots = slots?;
-    let mut results = Vec::with_capacity(slots.len());
-    let mut telemetry = Vec::with_capacity(slots.len());
-    for (result, summary, t) in slots {
-        results.push((result, summary));
-        telemetry.push(t);
-    }
-    Ok((results, telemetry))
-}
-
-/// Retry behaviour of [`run_sweep`] when a run's random draw produces an
-/// unusable scenario ([`RunError::is_retryable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total attempts per run slot, the first included. `1` disables
-    /// retries.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3 }
-    }
-}
-
-impl RetryPolicy {
-    /// The reseed used for attempt `attempt` (0-based) of the slot whose
-    /// first attempt used `seed`.
-    ///
-    /// Deterministic, collision-averse (golden-ratio stride in the upper
-    /// bits, far from the dense `base_seed..base_seed+runs` band), and
-    /// attempt 0 is the unmodified seed so retry-free sweeps match
-    /// [`run_many`] exactly.
-    #[must_use]
-    pub fn derive_seed(seed: u64, attempt: u32) -> u64 {
-        seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-}
-
-/// What a sweep keeps per completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SweepMode {
-    /// Keep the full [`RunResult`] (trace included) next to the summary —
-    /// needed when callers extract per-run series or engine counters.
-    #[default]
-    Trace,
-    /// Fold each run's trace through the streaming metric observers
-    /// ([`summarize_streaming`]) and discard the trace: memory per run
-    /// shrinks from the full event volume to one [`RunSummary`]. The
-    /// summaries are identical to the trace path's.
-    Streaming,
-}
-
-/// Execution options of [`run_sweep_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SweepOptions {
-    /// Worker threads (`0` = all available cores, `1` = sequential).
-    pub jobs: usize,
-    /// Retry behaviour for retryable scenario errors.
-    pub retry: RetryPolicy,
-    /// What to keep per completed run.
-    pub mode: SweepMode,
-}
-
-impl SweepOptions {
-    /// Sequential, trace-keeping options with the given retry policy —
-    /// the behaviour of the original `run_sweep`.
-    #[must_use]
-    pub fn sequential(retry: RetryPolicy) -> Self {
-        SweepOptions {
-            jobs: 1,
-            retry,
-            mode: SweepMode::Trace,
-        }
-    }
+/// Deterministic, collision-averse (golden-ratio stride in the upper
+/// bits, far from the dense `base_seed..base_seed+runs` band), and
+/// attempt 0 is the unmodified seed, so a retry-free sweep runs exactly
+/// the seeds `base_seed..base_seed+runs`.
+#[must_use]
+pub fn derive_seed(seed: u64, attempt: u32) -> u64 {
+    seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One run slot that produced no usable result even after retries.
 #[derive(Debug)]
 pub struct FailedRun {
+    /// The slot index.
+    pub slot: usize,
     /// The slot's base seed (before reseeding).
     pub seed: u64,
-    /// Attempts consumed (== the policy's `max_attempts` unless the
-    /// error was not retryable).
+    /// Attempts consumed ([`MAX_ATTEMPTS`] unless the error was not
+    /// retryable).
     pub attempts: u32,
     /// The last error.
     pub error: RunError,
 }
 
-/// One successfully completed sweep slot.
+/// Everything a sweep produced.
 #[derive(Debug)]
-pub struct CompletedRun {
-    /// The full run result; `None` in [`SweepMode::Streaming`], where the
-    /// trace was folded into the summary and discarded.
-    pub result: Option<RunResult>,
-    /// The run's scalar summary.
-    pub summary: RunSummary,
-    /// Attempts the slot consumed, the first included (> 1 when retryable
-    /// scenario errors forced reseeds before this success).
-    pub attempts: u32,
-}
-
-/// Everything a hardened sweep produced.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Every successful run, in slot order.
-    pub completed: Vec<CompletedRun>,
+pub struct SweepOutcome<T> {
+    /// The folded value of every successful slot, in slot order.
+    pub values: Vec<T>,
     /// Slots that failed all attempts, in slot order.
     pub failed: Vec<FailedRun>,
-    /// Total retry attempts consumed across the sweep (0 when every slot
-    /// succeeded first try).
-    pub retries: u64,
     /// One record per slot — completed *and* failed — in slot order.
     pub telemetry: Vec<RunTelemetry>,
 }
 
-impl SweepOutcome {
-    /// Summaries of the successful runs.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<RunSummary> {
-        self.completed.iter().map(|c| c.summary.clone()).collect()
-    }
-
-    /// Retained full results of the successful runs (empty in
-    /// [`SweepMode::Streaming`]).
-    pub fn results(&self) -> impl Iterator<Item = &RunResult> {
-        self.completed.iter().filter_map(|c| c.result.as_ref())
-    }
-}
-
-/// Per-slot outcome before reassembly. The completed payload is boxed:
-/// a trace-retaining [`CompletedRun`] is hundreds of bytes, a
-/// [`FailedRun`] a handful. Every slot carries its retry count and
-/// telemetry record.
-enum SlotOutcome {
-    Completed(Box<CompletedRun>, u64, RunTelemetry),
-    Failed(FailedRun, u64, RunTelemetry),
-}
-
-/// Executes `runs` seeded repetitions of `config` like [`run_many`], but
-/// hardened for sweeps over adversarial configurations: every run is
-/// isolated with [`catch_unwind`] (a panicking run becomes a
-/// [`RunError::Panicked`] entry instead of tearing down the sweep), and
+/// Executes `runs` seeded repetitions of `config` (slot `i` uses seed
+/// `base_seed + i`) on up to `jobs` worker threads (`0` = all cores) and
+/// maps each finished run through `fold`.
+///
+/// The sweep is hardened for adversarial configurations: each attempt
+/// (run and fold) is isolated with [`catch_unwind`], so a panic becomes a
+/// [`RunError::Panicked`] instead of tearing down the sweep, and
 /// retryable errors (no path, unsatisfiable failure selection, caught
-/// panics) are retried with deterministically derived reseeds up to
-/// `retry.max_attempts` total attempts. Every slot's telemetry records
-/// its true attempt count, not just the final attempt's outcome.
+/// panics) are retried with [`derive_seed`] reseeds up to
+/// [`MAX_ATTEMPTS`]. A fold error is a property of the scenario, not the
+/// draw, and is never retried. The sweep itself never fails:
+/// unsalvageable slots land in [`SweepOutcome::failed`].
 ///
-/// Sequential, trace-keeping convenience wrapper over [`run_sweep_with`].
-#[must_use]
-pub fn run_sweep(
+/// Each slot's telemetry is taken from the run's engine counters before
+/// `fold` consumes the result, and records the slot's true attempt
+/// count. `on_done(i)` fires when slot `i` finishes (for progress
+/// meters). Slots are reassembled in slot order, so the outcome is
+/// identical for every `jobs` value.
+pub fn sweep<T, F>(
     config: &ExperimentConfig,
     runs: usize,
     base_seed: u64,
-    retry: RetryPolicy,
-) -> SweepOutcome {
-    run_sweep_with(config, runs, base_seed, SweepOptions::sequential(retry))
-}
-
-/// The hardened sweep with explicit execution options: worker threads,
-/// retry policy and per-run retention ([`SweepMode`]).
-///
-/// The sweep itself never fails: unsalvageable slots are reported in
-/// [`SweepOutcome::failed`] with their typed error and attempt count.
-/// Panic isolation and the retry/reseed logic run inside each worker, and
-/// slots are reassembled in slot order, so the outcome is identical for
-/// every `jobs` value.
-#[must_use]
-pub fn run_sweep_with(
-    config: &ExperimentConfig,
-    runs: usize,
-    base_seed: u64,
-    options: SweepOptions,
-) -> SweepOutcome {
-    let max_attempts = options.retry.max_attempts.max(1);
-    let protocol = protocol_label(config);
-    let slots = par_map_indexed(runs, options.jobs, |i| {
-        let slot_seed = base_seed + i as u64;
-        let mut attempt = 0;
-        let mut retries = 0u64;
-        loop {
-            let mut cfg = config.clone();
-            cfg.seed = RetryPolicy::derive_seed(slot_seed, attempt);
-            let attempt_result = catch_unwind(AssertUnwindSafe(|| run(&cfg)))
-                .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&payload))));
-            match attempt_result {
-                Ok(result) => {
-                    // Telemetry is captured here, while the result (and its
-                    // engine counters) is still alive — the streaming mode
-                    // discards the RunResult right below.
-                    let telemetry =
-                        run_telemetry(i as u64, slot_seed, attempt + 1, &protocol, &result);
-                    let completed = match options.mode {
-                        SweepMode::Trace => summarize(&result).map(|summary| CompletedRun {
-                            summary,
-                            result: Some(result),
-                            attempts: attempt + 1,
-                        }),
-                        SweepMode::Streaming => {
-                            summarize_streaming(&result).map(|summary| CompletedRun {
-                                summary,
-                                result: None,
-                                attempts: attempt + 1,
-                            })
-                        }
-                    };
-                    match completed {
-                        Ok(completed) => {
-                            break SlotOutcome::Completed(Box::new(completed), retries, telemetry)
-                        }
-                        // A metrics failure is a property of the scenario,
-                        // not the draw — report it, never retry it.
-                        Err(e) => {
-                            let error = RunError::from(e);
-                            let telemetry = failed_telemetry(
-                                i as u64,
-                                slot_seed,
-                                attempt + 1,
-                                &protocol,
-                                &error,
-                            );
-                            break SlotOutcome::Failed(
-                                FailedRun {
-                                    seed: slot_seed,
-                                    attempts: attempt + 1,
-                                    error,
-                                },
-                                retries,
-                                telemetry,
-                            );
-                        }
-                    }
-                }
-                Err(error) => {
-                    if error.is_retryable() && attempt + 1 < max_attempts {
-                        attempt += 1;
-                        retries += 1;
-                        continue;
-                    }
-                    let telemetry =
-                        failed_telemetry(i as u64, slot_seed, attempt + 1, &protocol, &error);
-                    break SlotOutcome::Failed(
-                        FailedRun {
-                            seed: slot_seed,
-                            attempts: attempt + 1,
+    jobs: usize,
+    fold: F,
+    on_done: &(dyn Fn(usize) + Sync),
+) -> SweepOutcome<T>
+where
+    T: Send,
+    F: Fn(RunResult) -> Result<T, MetricsError> + Sync,
+{
+    let protocol = config.protocol.label();
+    let slots = par_map_indexed(
+        runs,
+        jobs,
+        |i| {
+            let slot = i as u64;
+            let seed = base_seed + slot;
+            let mut attempts = 0;
+            loop {
+                let mut cfg = config.clone();
+                cfg.seed = derive_seed(seed, attempts);
+                attempts += 1;
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    let result = run(&cfg)?;
+                    let telemetry = run_telemetry(slot, seed, attempts, protocol, &result);
+                    Ok((fold(result)?, telemetry))
+                }))
+                .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))));
+                match attempt {
+                    Ok((value, telemetry)) => break (Ok(value), telemetry),
+                    Err(error) if error.is_retryable() && attempts < MAX_ATTEMPTS => {}
+                    Err(error) => {
+                        let telemetry = failed_telemetry(slot, seed, attempts, protocol, &error);
+                        let failed = FailedRun {
+                            slot: i,
+                            seed,
+                            attempts,
                             error,
-                        },
-                        retries,
-                        telemetry,
-                    );
+                        };
+                        break (Err(failed), telemetry);
+                    }
                 }
             }
-        }
-    });
+        },
+        on_done,
+    );
     let mut outcome = SweepOutcome {
-        completed: Vec::with_capacity(runs),
+        values: Vec::with_capacity(runs),
         failed: Vec::new(),
-        retries: 0,
         telemetry: Vec::with_capacity(runs),
     };
-    for slot in slots {
+    for (slot, telemetry) in slots {
         match slot {
-            SlotOutcome::Completed(completed, retries, telemetry) => {
-                outcome.completed.push(*completed);
-                outcome.retries += retries;
-                outcome.telemetry.push(telemetry);
-            }
-            SlotOutcome::Failed(failed, retries, telemetry) => {
-                outcome.failed.push(failed);
-                outcome.retries += retries;
-                outcome.telemetry.push(telemetry);
-            }
+            Ok(value) => outcome.values.push(value),
+            Err(failed) => outcome.failed.push(failed),
         }
+        outcome.telemetry.push(telemetry);
     }
     outcome
 }

@@ -36,10 +36,8 @@ pub mod transport;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::aggregate::{
-        aggregate_point, failed_telemetry, protocol_label, run_many, run_many_jobs,
-        run_many_jobs_observed, run_sweep, run_sweep_with, run_telemetry, Aggregate,
-        CompletedRun, FailedRun, PointSummary, RetryPolicy, SweepMode, SweepOptions,
-        SweepOutcome,
+        aggregate_point, derive_seed, failed_telemetry, run_telemetry, sweep, Aggregate, FailedRun,
+        PointSummary, SweepOutcome, MAX_ATTEMPTS,
     };
     pub use crate::experiment::{
         ExperimentConfig, TopologySpec, TrafficConfig, TrafficMode, WarmupPolicy, WatchdogPolicy,
@@ -51,7 +49,7 @@ pub mod prelude {
     pub use crate::metrics::streaming::{summarize_streaming, SummaryObserver};
     pub use crate::metrics::summary::{summarize, RunSummary};
     pub use crate::metrics::MetricsError;
-    pub use crate::parallel::{par_map_indexed, par_map_indexed_with};
+    pub use crate::parallel::par_map_indexed;
     pub use crate::protocols::ProtocolKind;
     pub use crate::report::Table;
     pub use crate::runner::{run, run_observed, Flow, RunError, RunResult};

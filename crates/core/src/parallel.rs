@@ -35,25 +35,17 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// - the returned vector equals the sequential `(0..count).map(f)`;
 /// - a panic inside `f` propagates (wrap `f`'s body in
 ///   [`std::panic::catch_unwind`] first if slots must be isolated, as the
-///   sweep harness does).
+///   sweep does).
+///
+/// `on_done(i)` fires on the worker thread right after slot `i`'s result
+/// is produced, in whatever order slots actually finish. It is for
+/// side-band reporting (progress meters) only — results are still
+/// reassembled in index order, so it cannot affect the output.
 ///
 /// With `jobs <= 1` (or fewer than two slots) no threads are spawned and
 /// `f` runs on the caller's thread — the sequential path stays the
 /// baseline the parallel one is compared against.
-pub fn par_map_indexed<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_indexed_with(count, jobs, f, &|_| {})
-}
-
-/// [`par_map_indexed`] with a completion callback: `on_done(i)` fires on
-/// the worker thread right after slot `i`'s result is produced, in
-/// whatever order slots actually finish. The callback is for side-band
-/// reporting (progress meters) only — results are still reassembled in
-/// slot order, so it cannot affect the output.
-pub fn par_map_indexed_with<T, F>(
+pub fn par_map_indexed<T, F>(
     count: usize,
     jobs: usize,
     f: F,
@@ -113,7 +105,7 @@ mod tests {
     #[test]
     fn results_are_in_index_order_for_any_job_count() {
         for jobs in [1, 2, 3, 8, 64] {
-            let out = par_map_indexed(17, jobs, |i| i * i);
+            let out = par_map_indexed(17, jobs, |i| i * i, &|_| {});
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -122,7 +114,7 @@ mod tests {
     fn zero_jobs_means_available_parallelism() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(5), 5);
-        let out = par_map_indexed(4, 0, |i| i);
+        let out = par_map_indexed(4, 0, |i| i, &|_| {});
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
@@ -130,14 +122,14 @@ mod tests {
     fn each_index_runs_exactly_once() {
         use std::sync::atomic::AtomicU32;
         let calls: Vec<AtomicU32> = (0..50).map(|_| AtomicU32::new(0)).collect();
-        par_map_indexed(50, 4, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+        par_map_indexed(50, 4, |i| calls[i].fetch_add(1, Ordering::Relaxed), &|_| {});
         assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i), vec![0]);
+        assert_eq!(par_map_indexed(0, 4, |i| i, &|_| {}), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, |i| i, &|_| {}), vec![0]);
     }
 
     #[test]
@@ -145,14 +137,9 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         for jobs in [1, 4] {
             let fired: Vec<AtomicU32> = (0..20).map(|_| AtomicU32::new(0)).collect();
-            let out = par_map_indexed_with(
-                20,
-                jobs,
-                |i| i * 2,
-                &|i| {
-                    fired[i].fetch_add(1, Ordering::Relaxed);
-                },
-            );
+            let out = par_map_indexed(20, jobs, |i| i * 2, &|i| {
+                fired[i].fetch_add(1, Ordering::Relaxed);
+            });
             assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
             assert!(fired.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         }

@@ -84,7 +84,7 @@ pub enum RunError {
     },
     /// The run panicked; the payload is the rendered panic message.
     /// Produced only by sweep-level isolation
-    /// ([`crate::aggregate::run_sweep`]), never by [`run`] itself.
+    /// ([`crate::aggregate::sweep`]), never by [`run`] itself.
     Panicked(String),
     /// The run finished but its trace could not be summarized. Produced
     /// by the sweep drivers that fold metrics, never by [`run`] itself.

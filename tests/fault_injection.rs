@@ -206,17 +206,12 @@ fn unsatisfiable_sweep_completes_with_typed_errors() {
     // sweep itself must finish instead of panicking.
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
     cfg.failure = FailurePlan::MultipleLinks { count: 50 };
-    let retry = convergence::aggregate::RetryPolicy::default();
-    let outcome = run_sweep(&cfg, 4, 1, retry);
-    assert!(outcome.completed.is_empty());
+    let outcome = sweep(&cfg, 4, 1, 1, |r| summarize_streaming(&r), &|_| {});
+    assert!(outcome.values.is_empty());
     assert_eq!(outcome.failed.len(), 4);
-    assert_eq!(
-        outcome.retries,
-        4 * u64::from(retry.max_attempts - 1),
-        "every slot exhausts its retries"
-    );
     for failure in &outcome.failed {
-        assert_eq!(failure.attempts, retry.max_attempts);
+        // Every slot exhausts its retries.
+        assert_eq!(failure.attempts, MAX_ATTEMPTS);
         assert!(
             matches!(
                 failure.error,
@@ -231,16 +226,23 @@ fn unsatisfiable_sweep_completes_with_typed_errors() {
 #[test]
 fn satisfiable_sweep_still_completes_every_slot() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let outcome = run_sweep(&cfg, 3, 7000, convergence::aggregate::RetryPolicy::default());
-    assert_eq!(outcome.completed.len(), 3);
+    let outcome = sweep(&cfg, 3, 7000, 1, |r| summarize(&r), &|_| {});
+    assert_eq!(outcome.values.len(), 3);
     assert!(outcome.failed.is_empty());
-    assert_eq!(outcome.retries, 0);
-    // First-try sweeps use the same seeds as run_many, so summaries match.
-    let reference = run_many(&cfg, 3, 7000).expect("run_many succeeds");
-    assert_eq!(
-        outcome.summaries(),
-        reference.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>()
+    assert!(
+        outcome.telemetry.iter().all(|t| t.attempts == 1),
+        "no retries"
     );
+    // First-try slots use seeds base_seed + i, so summaries match a plain
+    // run loop over those seeds.
+    let reference: Vec<RunSummary> = (7000..7003)
+        .map(|seed| {
+            let mut cfg = cfg.clone();
+            cfg.seed = seed;
+            summarize(&run(&cfg).expect("reference run succeeds")).expect("summary")
+        })
+        .collect();
+    assert_eq!(outcome.values, reference);
 }
 
 #[test]
@@ -416,8 +418,7 @@ fn watchdog_aborts_runaway_runs_with_typed_error() {
     }
     // A watchdog abort is a resource bound, not a bad draw: sweeps report
     // it without burning retries.
-    let outcome = run_sweep(&cfg, 2, 20, convergence::aggregate::RetryPolicy::default());
+    let outcome = sweep(&cfg, 2, 20, 1, |r| summarize_streaming(&r), &|_| {});
     assert_eq!(outcome.failed.len(), 2);
-    assert_eq!(outcome.retries, 0);
     assert!(outcome.failed.iter().all(|f| f.attempts == 1));
 }

@@ -1,5 +1,5 @@
-//! End-to-end tests of the parallel sweep engine: bit-identical results
-//! for every worker count, streaming-vs-trace metric equality, and panic
+//! End-to-end tests of the parallel sweep: bit-identical results for
+//! every worker count, streaming-vs-trace metric equality, and panic
 //! isolation inside a multi-threaded sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,66 +10,107 @@ use convergence::prelude::*;
 use spf::Spf;
 use topology::mesh::MeshDegree;
 
-fn options(jobs: usize, mode: SweepMode) -> SweepOptions {
-    SweepOptions {
+/// A sweep whose fold keeps each run's full result next to its
+/// seven-pass summary.
+fn trace_sweep(
+    cfg: &ExperimentConfig,
+    runs: usize,
+    base_seed: u64,
+    jobs: usize,
+) -> SweepOutcome<(RunSummary, RunResult)> {
+    sweep(
+        cfg,
+        runs,
+        base_seed,
         jobs,
-        retry: RetryPolicy::default(),
-        mode,
-    }
+        |r| Ok((summarize(&r)?, r)),
+        &|_| {},
+    )
+}
+
+/// A sweep whose fold keeps only each run's streaming summary.
+fn streaming_sweep(
+    cfg: &ExperimentConfig,
+    runs: usize,
+    base_seed: u64,
+    jobs: usize,
+) -> SweepOutcome<RunSummary> {
+    sweep(
+        cfg,
+        runs,
+        base_seed,
+        jobs,
+        |r| summarize_streaming(&r),
+        &|_| {},
+    )
+}
+
+fn summaries(outcome: &SweepOutcome<(RunSummary, RunResult)>) -> Vec<RunSummary> {
+    outcome.values.iter().map(|(s, _)| s.clone()).collect()
 }
 
 #[test]
-fn run_many_is_bit_identical_for_every_job_count() {
+fn sweep_matches_a_plain_run_loop_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let sequential = run_many_jobs(&cfg, 4, 901, 1).expect("sequential runs succeed");
-    let parallel = run_many_jobs(&cfg, 4, 901, 4).expect("parallel runs succeed");
-    assert_eq!(sequential.len(), parallel.len());
-    for ((seq_result, seq_summary), (par_result, par_summary)) in
-        sequential.iter().zip(parallel.iter())
-    {
-        assert_eq!(seq_summary, par_summary);
-        assert_eq!(seq_result.trace.len(), par_result.trace.len());
-        assert_eq!(
-            seq_result.stats.events_processed,
-            par_result.stats.events_processed
-        );
+    let reference: Vec<(RunSummary, RunResult)> = (0..4)
+        .map(|i| {
+            let mut cfg = cfg.clone();
+            cfg.seed = 901 + i;
+            let result = run(&cfg).expect("reference run succeeds");
+            (summarize(&result).expect("summary"), result)
+        })
+        .collect();
+    for jobs in [1, 4] {
+        let outcome = trace_sweep(&cfg, 4, 901, jobs);
+        assert!(outcome.failed.is_empty());
+        assert_eq!(outcome.values.len(), reference.len());
+        for ((ref_summary, ref_result), (summary, result)) in
+            reference.iter().zip(outcome.values.iter())
+        {
+            assert_eq!(ref_summary, summary, "jobs={jobs}");
+            assert_eq!(ref_result.trace.len(), result.trace.len());
+            assert_eq!(
+                ref_result.stats.events_processed,
+                result.stats.events_processed
+            );
+        }
     }
 }
 
 #[test]
 fn hardened_sweep_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Rip, MeshDegree::D4, 0);
-    let sequential = run_sweep_with(&cfg, 4, 300, options(1, SweepMode::Trace));
-    let parallel = run_sweep_with(&cfg, 4, 300, options(4, SweepMode::Trace));
+    let sequential = trace_sweep(&cfg, 4, 300, 1);
+    let parallel = trace_sweep(&cfg, 4, 300, 4);
     assert!(sequential.failed.is_empty());
     assert!(parallel.failed.is_empty());
-    assert_eq!(sequential.retries, parallel.retries);
-    assert_eq!(sequential.summaries(), parallel.summaries());
+    assert_eq!(sequential.telemetry, parallel.telemetry);
+    assert_eq!(summaries(&sequential), summaries(&parallel));
 }
 
 #[test]
 fn streaming_mode_matches_trace_mode_for_each_paper_protocol() {
     for protocol in [ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3] {
         let cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, 0);
-        let trace = run_sweep_with(&cfg, 3, 700, options(2, SweepMode::Trace));
-        let streaming = run_sweep_with(&cfg, 3, 700, options(2, SweepMode::Streaming));
+        let trace = trace_sweep(&cfg, 3, 700, 2);
+        let streaming = streaming_sweep(&cfg, 3, 700, 2);
         assert!(trace.failed.is_empty(), "{protocol}: trace sweep failed");
         assert_eq!(
-            trace.summaries(),
-            streaming.summaries(),
+            summaries(&trace),
+            streaming.values,
             "{protocol}: streaming fold diverged from the trace analyzers"
         );
-        // Streaming discards every trace; trace mode keeps them all.
-        assert_eq!(streaming.results().count(), 0);
-        assert_eq!(trace.results().count(), 3);
+        // The trace fold keeps every run; the streaming fold keeps none.
+        assert_eq!(trace.values.len(), 3);
+        assert!(trace.values.iter().all(|(_, r)| !r.trace.is_empty()));
     }
 }
 
 #[test]
 fn sweep_telemetry_is_bit_identical_for_every_job_count() {
     let cfg = ExperimentConfig::paper(ProtocolKind::Dbf, MeshDegree::D4, 0);
-    let sequential = run_sweep_with(&cfg, 3, 512, options(1, SweepMode::Streaming));
-    let parallel = run_sweep_with(&cfg, 3, 512, options(3, SweepMode::Streaming));
+    let sequential = streaming_sweep(&cfg, 3, 512, 1);
+    let parallel = streaming_sweep(&cfg, 3, 512, 3);
     assert_eq!(sequential.telemetry, parallel.telemetry);
     assert_eq!(
         render_jsonl(&sequential.telemetry),
@@ -87,17 +128,17 @@ fn sweep_telemetry_is_bit_identical_for_every_job_count() {
         assert!(row.queue_high_water > 0);
         assert_eq!(row.packets_injected, 1000);
     }
-    // Streaming mode discards results but never the telemetry.
-    assert_eq!(sequential.results().count(), 0);
+    // The fold consumed every result, but never the telemetry.
+    assert_eq!(sequential.values.len(), 3);
 }
 
 #[test]
 fn retry_attempts_are_recorded_in_telemetry() {
     // Exactly one protocol build panics, early enough to land inside
-    // slot 0's first attempt (the sweep's label probe consumes build 0;
-    // builds 1..=49 install slot 0's 49 nodes). The retry — with a
-    // derived seed — completes, and the sweep must report the true
-    // attempt count, not just the final attempt's success.
+    // slot 0's first attempt (builds 0..=48 install slot 0's 49 nodes).
+    // The retry — with a derived seed — completes, and the sweep must
+    // report the true attempt count, not just the final attempt's
+    // success.
     let builds = Arc::new(AtomicUsize::new(0));
     let factory = {
         let builds = Arc::clone(&builds);
@@ -113,11 +154,12 @@ fn retry_attempts_are_recorded_in_telemetry() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(&cfg, 2, 40, options(1, SweepMode::Streaming));
-    assert!(outcome.failed.is_empty(), "retry should have salvaged slot 0");
-    assert_eq!(outcome.retries, 1);
-    assert_eq!(outcome.completed[0].attempts, 2);
-    assert_eq!(outcome.completed[1].attempts, 1);
+    let outcome = streaming_sweep(&cfg, 2, 40, 1);
+    assert!(
+        outcome.failed.is_empty(),
+        "retry should have salvaged slot 0"
+    );
+    assert_eq!(outcome.values.len(), 2);
     assert_eq!(outcome.telemetry.len(), 2);
     assert_eq!(outcome.telemetry[0].attempts, 2);
     assert_eq!(outcome.telemetry[1].attempts, 1);
@@ -130,28 +172,25 @@ fn exhausted_retries_yield_a_failed_telemetry_record() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(
-        &cfg,
-        1,
-        40,
-        SweepOptions {
-            jobs: 1,
-            retry: RetryPolicy { max_attempts: 2 },
-            mode: SweepMode::Streaming,
-        },
-    );
-    assert!(outcome.completed.is_empty());
+    let outcome = streaming_sweep(&cfg, 1, 40, 1);
+    assert!(outcome.values.is_empty());
     assert_eq!(outcome.failed.len(), 1);
-    assert_eq!(outcome.failed[0].attempts, 2);
+    assert_eq!(outcome.failed[0].attempts, MAX_ATTEMPTS);
+    assert_eq!(MAX_ATTEMPTS, 3);
+    assert!(
+        matches!(outcome.failed[0].error, RunError::Panicked(_)),
+        "expected a Panicked error, got: {}",
+        outcome.failed[0].error
+    );
     assert_eq!(outcome.telemetry.len(), 1);
     let row = &outcome.telemetry[0];
     assert!(!row.ok);
-    assert_eq!(row.attempts, 2);
+    assert_eq!(row.attempts, 3);
     assert!(!row.error.is_empty());
     // The JSONL line survives the panic message's quoting.
     let line = row.to_json_line();
     assert!(line.contains("\"ok\":false"));
-    assert!(line.contains("\"attempts\":2"));
+    assert!(line.contains("\"attempts\":3"));
 }
 
 #[test]
@@ -159,8 +198,8 @@ fn a_panicking_run_is_isolated_and_reported() {
     let runs = 4;
     // The factory is called once per node (49 per run); exactly one call
     // — inside exactly one run, whichever worker gets there first —
-    // panics. With retries disabled, the other slots must complete
-    // untouched while the poisoned one surfaces as a typed failure.
+    // panics. The poisoned slot must recover on its reseeded second
+    // attempt while every other slot completes untouched on its first.
     let builds = Arc::new(AtomicUsize::new(0));
     let trigger = 60; // lands mid-build of some run for every schedule
     let factory = {
@@ -177,21 +216,11 @@ fn a_panicking_run_is_isolated_and_reported() {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Spf, MeshDegree::D4, 0);
     cfg.protocol_override = Some(factory);
 
-    let outcome = run_sweep_with(
-        &cfg,
-        runs,
-        40,
-        SweepOptions {
-            jobs: 2,
-            retry: RetryPolicy { max_attempts: 1 },
-            mode: SweepMode::Streaming,
-        },
-    );
-    assert_eq!(outcome.completed.len(), runs - 1);
-    assert_eq!(outcome.failed.len(), 1);
-    assert!(
-        matches!(outcome.failed[0].error, RunError::Panicked(_)),
-        "expected a Panicked error, got: {}",
-        outcome.failed[0].error
-    );
+    let outcome = streaming_sweep(&cfg, runs, 40, 2);
+    assert!(outcome.failed.is_empty(), "the poisoned slot must recover");
+    assert_eq!(outcome.values.len(), runs);
+    let mut attempts: Vec<u32> = outcome.telemetry.iter().map(|t| t.attempts).collect();
+    attempts.sort_unstable();
+    assert_eq!(attempts, vec![1, 1, 1, 2], "exactly one slot retried once");
+    assert!(outcome.telemetry.iter().all(|t| t.ok));
 }
