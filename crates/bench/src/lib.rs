@@ -1,7 +1,8 @@
-//! # bench — figure regeneration and performance benchmarks
+//! # bench — figure, ablation and extension regeneration
 //!
-//! Each binary in `src/bin/` regenerates one of the paper's figures or an
-//! ablation; `benches/` holds criterion benchmarks. This library provides
+//! Each binary in `src/bin/` regenerates one of the paper's figures, an
+//! ablation or an extension study. Performance is measured by the
+//! separate `perfbench/` harness, not here. This library provides
 //! the shared command line and [`SweepObserver::sweep`], the one sweep
 //! every figure binary runs: core's hardened
 //! [`sweep`](convergence::aggregate::sweep) plus progress, telemetry and

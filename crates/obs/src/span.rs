@@ -18,8 +18,6 @@ pub const EVENT_DISPATCH: &str = "event_dispatch";
 pub const PROTOCOL_PROCESSING: &str = "protocol_processing";
 /// Span name: appending records to the run trace.
 pub const TRACE_RECORDING: &str = "trace_recording";
-/// Span name: folding a finished run's trace into its metrics.
-pub const METRIC_FOLDING: &str = "metric_folding";
 
 #[derive(Debug)]
 struct Frame {

@@ -1,12 +1,15 @@
-//! Golden-trace regression tests: one small fixed-seed run per paper
-//! protocol, with the full `TraceEvent` stream pinned as a compressed
-//! fixture under `tests/golden/`.
+//! Golden regression tests, pinned as fixtures under `tests/golden/`:
 //!
-//! Any engine change that reorders events, alters a tie-break, or drifts
-//! a timer shows up here as a byte-level diff of the rendered trace —
-//! *before* it can silently shift the paper's figures. The fixtures are
-//! compressed with the dependency-free `obs` codec, so they stay small
-//! enough to commit.
+//! - **Traces.** One small fixed-seed run per paper protocol, with the
+//!   full `TraceEvent` stream compressed with the dependency-free `obs`
+//!   codec. Any engine change that reorders events, alters a tie-break,
+//!   or drifts a timer shows up here as a byte-level diff of the rendered
+//!   trace — *before* it can silently shift the paper's figures.
+//! - **Work counters.** The engine counters of one full-size paper run
+//!   per protocol, plus a BGP link-flap run's path-interner counters, in
+//!   plain text. Unlike wall-clock rates they do not depend on the machine, so
+//!   they are pinned exactly: dead work (an extra timer, a payload clone,
+//!   a lost interner hit) fails here even when no trace record changes.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -17,9 +20,16 @@
 //! and commit the updated fixtures together with the change that
 //! justified them.
 
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+use bgp::Bgp;
 use convergence::experiment::TopologySpec;
 use convergence::prelude::*;
-use netsim::time::SimDuration;
+use netsim::ident::NodeId;
+use netsim::time::{SimDuration, SimTime};
+use obs::telemetry::render_jsonl;
+use topology::instantiate::to_simulator_builder;
 use topology::mesh::MeshDegree;
 
 /// The golden scenario: the paper's degree-4 single-link failure shrunk
@@ -40,32 +50,39 @@ fn golden_config(protocol: ProtocolKind) -> ExperimentConfig {
     cfg
 }
 
-fn fixture_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+fn fixture_path(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{name}.trace.lz"))
+        .join(file)
 }
 
-fn check_golden(protocol: ProtocolKind, name: &str) {
-    let cfg = golden_config(protocol);
-    let result = run(&cfg).expect("golden run succeeds");
-    let rendered = result.trace.render_lines();
-    let path = fixture_path(name);
-
+/// Compares `rendered` with the fixture at `path` (compressed with the
+/// `obs` codec when its name ends in `.lz`), or rewrites the fixture when
+/// `GOLDEN_REGEN` is set.
+fn check_fixture(name: &str, path: &Path, rendered: &str) {
+    let compressed = path.extension().is_some_and(|ext| ext == "lz");
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create dir");
-        std::fs::write(&path, obs::codec::compress(rendered.as_bytes()))
-            .expect("write fixture");
+        let bytes = if compressed {
+            obs::codec::compress(rendered.as_bytes())
+        } else {
+            rendered.as_bytes().to_vec()
+        };
+        std::fs::write(path, bytes).expect("write fixture");
         return;
     }
 
-    let compressed = std::fs::read(&path).unwrap_or_else(|e| {
+    let stored = std::fs::read(path).unwrap_or_else(|e| {
         panic!(
             "missing golden fixture {} ({e}); run GOLDEN_REGEN=1 cargo test --test golden_trace",
             path.display()
         )
     });
-    let golden = obs::codec::decompress(&compressed).expect("fixture decompresses");
+    let golden = if compressed {
+        obs::codec::decompress(&stored).expect("fixture decompresses")
+    } else {
+        stored
+    };
     let golden = String::from_utf8(golden).expect("fixture is utf-8");
     if rendered != golden {
         // Point at the first divergent line: a full multi-thousand-line
@@ -75,15 +92,98 @@ fn check_golden(protocol: ProtocolKind, name: &str) {
             .zip(golden.lines())
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| rendered.lines().count().min(golden.lines().count()));
-        let got = rendered.lines().nth(line).unwrap_or("<end of trace>");
-        let want = golden.lines().nth(line).unwrap_or("<end of trace>");
+        let got = rendered.lines().nth(line).unwrap_or("<end of fixture>");
+        let want = golden.lines().nth(line).unwrap_or("<end of fixture>");
         panic!(
-            "{name}: trace diverges from golden fixture at line {} of {} (golden {}):\n  got:  {got}\n  want: {want}",
+            "{name}: output diverges from golden fixture at line {} of {} (golden {}):\n  got:  {got}\n  want: {want}",
             line + 1,
             rendered.lines().count(),
             golden.lines().count(),
         );
     }
+}
+
+fn check_golden(protocol: ProtocolKind, name: &str) {
+    let result = run(&golden_config(protocol)).expect("golden run succeeds");
+    let path = fixture_path(&format!("{name}.trace.lz"));
+    check_fixture(name, &path, &result.trace.render_lines());
+}
+
+/// The work-counter scenarios' seed: `bench::point_seed(D4, 0)`, the
+/// first run of every figure binary's degree-4 point.
+const COUNTER_SEED: u64 = 20430622;
+
+/// Engine counters of one full-size paper run per protocol: the run's
+/// telemetry JSONL row, then one line with what telemetry lacks.
+fn paper_work_counters() -> String {
+    let mut out = String::new();
+    for protocol in ProtocolKind::ALL {
+        let cfg = ExperimentConfig::paper(protocol, MeshDegree::D4, COUNTER_SEED);
+        let result = run(&cfg).unwrap_or_else(|e| panic!("{protocol} run failed: {e}"));
+        let row = run_telemetry(0, COUNTER_SEED, 1, protocol.label(), &result);
+        out.push_str(&render_jsonl(&[row]));
+        writeln!(
+            out,
+            "{} trace_records={} control_payloads_shared={}",
+            protocol.label(),
+            result.trace.len(),
+            result.stats.control_payloads_shared,
+        )
+        .expect("write to String");
+    }
+    out
+}
+
+/// Plain BGP on the paper's degree-4 mesh, converged and then put through
+/// three failure/recovery cycles of its lowest link, so every
+/// reconvergence walks routes back through already-interned AS paths.
+/// Reports the engine counters and the path-interner hits and misses
+/// summed over all nodes.
+fn bgp_flap_work_counters() -> String {
+    let cfg = ExperimentConfig::paper(ProtocolKind::Bgp, MeshDegree::D4, COUNTER_SEED);
+    let realized = cfg.topology.realize();
+    let (mut builder, links) =
+        to_simulator_builder(&realized.graph, cfg.link).expect("paper mesh instantiates");
+    builder.seed(COUNTER_SEED);
+    let mut sim = builder.build().expect("paper mesh builds");
+    let num_nodes = sim.num_nodes();
+    for i in 0..num_nodes {
+        sim.install_protocol(NodeId::new(i as u32), Box::new(Bgp::new()))
+            .expect("node exists");
+    }
+    let flapped = *links.values().next().expect("mesh has links");
+    sim.start();
+    for cycle in 0..3_u64 {
+        sim.schedule_link_failure(SimTime::from_secs(120 + cycle * 120), flapped)
+            .expect("link exists");
+        sim.schedule_link_recovery(SimTime::from_secs(180 + cycle * 120), flapped)
+            .expect("link exists");
+    }
+    sim.run_until(SimTime::from_secs(540));
+
+    let (mut hits, mut misses) = (0, 0);
+    for i in 0..num_nodes {
+        let protocol = sim
+            .protocol(NodeId::new(i as u32))
+            .expect("protocol installed");
+        let bgp = protocol
+            .as_any()
+            .downcast_ref::<Bgp>()
+            .expect("BGP installed on every node");
+        let (h, m) = bgp.interner_stats();
+        hits += h;
+        misses += m;
+    }
+    let stats = sim.stats();
+    format!(
+        "BGP-flap events_processed={} queue_high_water={} control_messages={} \
+         trace_records={} control_payloads_shared={} interner_hits={hits} interner_misses={misses}\n",
+        stats.events_processed,
+        stats.queue_high_water,
+        stats.control_messages_sent,
+        sim.trace().len(),
+        stats.control_payloads_shared,
+    )
 }
 
 #[test]
@@ -104,6 +204,18 @@ fn golden_trace_bgp() {
 #[test]
 fn golden_trace_bgp3() {
     check_golden(ProtocolKind::Bgp3, "bgp3");
+}
+
+/// Exact work counters for every protocol: the machine-independent
+/// regression gate for engine and protocol hot-path work.
+#[test]
+fn golden_work_counters() {
+    let rendered = paper_work_counters() + &bgp_flap_work_counters();
+    check_fixture(
+        "work_counters",
+        &fixture_path("work_counters.txt"),
+        &rendered,
+    );
 }
 
 /// The golden scenario itself is deterministic: two runs render
