@@ -127,10 +127,11 @@ impl Bgp {
         if dest == ctx.node() {
             return;
         }
-        let best = select(
-            self.adj_in
-                .candidates(dest, |n| ctx.neighbor_up(n) && !self.flap.is_suppressed(n, dest)),
-        )
+        let links = ctx.links();
+        let usable = |n| {
+            links.iter().any(|l| l.neighbor == n && l.up) && !self.flap.is_suppressed(n, dest)
+        };
+        let best = select(self.adj_in.candidates(dest, usable))
         .map(
             |(neighbor, path)| BestRoute {
                 path: path.clone(),

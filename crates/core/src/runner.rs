@@ -71,7 +71,8 @@ pub enum RunError {
     Selection(SelectionError),
     /// The event-budget watchdog aborted a livelocked run.
     Watchdog {
-        /// Events processed when the watchdog fired.
+        /// Events dispatched when the watchdog fired (skipped timer keys
+        /// are not counted).
         events: u64,
         /// Simulated time at which it fired.
         at: SimTime,

@@ -173,14 +173,21 @@ impl GoBackNSource {
         self.arm_rto(ctx);
     }
 
+    /// Restarts the retransmission timer (re-armed in place when one is
+    /// pending), or stops it once everything is acknowledged.
     fn arm_rto(&mut self, ctx: &mut AppContext<'_>) {
-        if let Some(old) = self.rto_timer.take() {
-            ctx.cancel_timer(old);
+        if self.base >= self.config.total_packets {
+            if let Some(old) = self.rto_timer.take() {
+                ctx.cancel_timer(old);
+            }
+            return;
         }
-        if self.base < self.config.total_packets {
-            self.rto_timer =
-                Some(ctx.set_timer(self.current_rto, TimerToken::compose(TIMER_RTO, 0)));
+        if let Some(id) = self.rto_timer {
+            if ctx.rearm_timer(id, self.current_rto) {
+                return;
+            }
         }
+        self.rto_timer = Some(ctx.set_timer(self.current_rto, TimerToken::compose(TIMER_RTO, 0)));
     }
 }
 

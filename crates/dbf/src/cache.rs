@@ -1,87 +1,70 @@
-//! The per-neighbor distance-vector cache that distinguishes DBF from RIP.
+//! The per-neighbor distance-vector table that distinguishes DBF from RIP.
 //!
 //! Keeping the latest vector from *every* neighbor gives a router an
 //! instant answer to "who else can reach this destination?" — the zero-time
-//! path switch-over of paper §4.1. The cache stores advertisements verbatim
+//! path switch-over of paper §4.1. The table stores advertisements verbatim
 //! (including poisoned infinities), so a neighbor that routes through us
 //! correctly offers no alternate.
 
-use netsim::dense::DenseMap;
-use netsim::ident::NodeId;
 use routing_core::Metric;
 
-/// Latest advertised distance vectors, per neighbor.
+/// Latest advertised distance vectors, destination-major and indexed by
+/// adjacency slot (a neighbor's position in
+/// [`netsim::simulator::ProtocolContext::links`]).
 ///
-/// Neighbors are dense small integers, so the vectors live in a
-/// [`DenseMap`] — a `Vec` indexed by node id — rather than a tree;
-/// iteration still visits neighbors in ascending id order, which is what
-/// keeps recomputation order (and therefore traces) identical to the old
-/// `BTreeMap` representation.
+/// Route selection for one destination is the hot loop of DBF: it reads
+/// that destination's row, one contiguous entry per link, side by side
+/// with the node's link view. A neighbor never heard from, or forgotten
+/// after a failure, reads as [`Metric::INFINITY`], which offers no route
+/// just as an advertised infinity does.
 #[derive(Debug, Clone, Default)]
-pub struct NeighborCache {
-    /// `vectors[neighbor][dest]` = advertised metric; `None` = never heard.
-    vectors: DenseMap<Vec<Option<Metric>>>,
-    num_dests: usize,
+pub struct VectorTable {
+    /// `metrics[dest * width + slot]` = what the neighbor on `slot` last
+    /// advertised for `dest`.
+    metrics: Vec<Metric>,
+    /// Number of adjacency slots (the node's degree).
+    width: usize,
 }
 
-impl NeighborCache {
-    /// Creates a cache for `num_dests` destinations.
+impl VectorTable {
+    /// Creates a table for `num_dests` destinations and `width` adjacency
+    /// slots, with nothing heard yet.
     #[must_use]
-    pub fn new(num_dests: usize) -> Self {
-        NeighborCache {
-            vectors: DenseMap::new(),
-            num_dests,
+    pub fn new(num_dests: usize, width: usize) -> Self {
+        VectorTable {
+            metrics: vec![Metric::INFINITY; num_dests * width],
+            width,
         }
     }
 
-    /// Records that `neighbor` advertised `metric` for `dest`.
+    /// Records that the neighbor on `slot` advertised `metric` for `dest`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` or `slot` is out of range.
+    pub fn update(&mut self, slot: usize, dest: usize, metric: Metric) {
+        assert!(slot < self.width, "slot {slot} out of range");
+        self.metrics[dest * self.width + slot] = metric;
+    }
+
+    /// What each slot's neighbor last advertised for `dest`, in slot order.
     ///
     /// # Panics
     ///
     /// Panics if `dest` is out of range.
-    pub fn update(&mut self, neighbor: NodeId, dest: NodeId, metric: Metric) {
-        assert!(dest.index() < self.num_dests, "{dest} out of range");
-        let num_dests = self.num_dests;
-        let vector = self
-            .vectors
-            .get_or_insert_with(neighbor, || vec![None; num_dests]);
-        vector[dest.index()] = Some(metric);
-    }
-
-    /// The advertised metric from `neighbor` for `dest`, if any.
     #[must_use]
-    pub fn advertised(&self, neighbor: NodeId, dest: NodeId) -> Option<Metric> {
-        *self.vectors.get(neighbor)?.get(dest.index())?
+    pub fn row(&self, dest: usize) -> &[Metric] {
+        &self.metrics[dest * self.width..(dest + 1) * self.width]
     }
 
-    /// Forgets everything learned from `neighbor` (link failure or
-    /// staleness timeout).
-    pub fn invalidate(&mut self, neighbor: NodeId) {
-        self.vectors.remove(neighbor);
-    }
-
-    /// Returns `(neighbor, advertised_metric)` candidates for `dest`,
-    /// restricted to neighbors accepted by `usable`.
-    pub fn candidates<'a, F>(
-        &'a self,
-        dest: NodeId,
-        usable: F,
-    ) -> impl Iterator<Item = (NodeId, Metric)> + 'a
-    where
-        F: Fn(NodeId) -> bool + 'a,
-    {
-        self.vectors.iter().filter_map(move |(neighbor, vector)| {
-            if !usable(neighbor) {
-                return None;
+    /// Forgets everything learned from the neighbor on `slot` (link
+    /// failure or staleness timeout).
+    pub fn invalidate(&mut self, slot: usize) {
+        if slot < self.width {
+            for metric in self.metrics.iter_mut().skip(slot).step_by(self.width) {
+                *metric = Metric::INFINITY;
             }
-            let metric = (*vector.get(dest.index())?)?;
-            Some((neighbor, metric))
-        })
-    }
-
-    /// Neighbors currently present in the cache.
-    pub fn known_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.vectors.keys()
+        }
     }
 }
 
@@ -89,51 +72,42 @@ impl NeighborCache {
 mod tests {
     use super::*;
 
-    fn n(i: u32) -> NodeId {
-        NodeId::new(i)
-    }
-
     #[test]
     fn update_and_lookup() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::new(2));
-        assert_eq!(c.advertised(n(1), n(3)), Some(Metric::new(2)));
-        assert_eq!(c.advertised(n(1), n(2)), None);
-        assert_eq!(c.advertised(n(2), n(3)), None);
+        let mut t = VectorTable::new(4, 2);
+        t.update(1, 3, Metric::new(2));
+        assert_eq!(t.row(3), [Metric::INFINITY, Metric::new(2)]);
+        assert_eq!(t.row(2), [Metric::INFINITY; 2]);
     }
 
     #[test]
     fn poisoned_entries_are_remembered() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::INFINITY);
-        assert_eq!(c.advertised(n(1), n(3)), Some(Metric::INFINITY));
+        let mut t = VectorTable::new(4, 2);
+        t.update(0, 3, Metric::new(1));
+        t.update(0, 3, Metric::INFINITY);
+        assert_eq!(t.row(3)[0], Metric::INFINITY);
     }
 
     #[test]
-    fn invalidate_forgets_whole_vector() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(0), Metric::new(1));
-        c.update(n(1), n(2), Metric::new(5));
-        c.invalidate(n(1));
-        assert_eq!(c.advertised(n(1), n(0)), None);
-        assert_eq!(c.known_neighbors().count(), 0);
+    fn invalidate_forgets_one_slot_for_every_destination() {
+        let mut t = VectorTable::new(3, 3);
+        for dest in 0..3 {
+            for slot in 0..3 {
+                t.update(slot, dest, Metric::new(1));
+            }
+        }
+        t.invalidate(1);
+        for dest in 0..3 {
+            assert_eq!(
+                t.row(dest),
+                [Metric::new(1), Metric::INFINITY, Metric::new(1)]
+            );
+        }
     }
 
     #[test]
-    fn candidates_respect_usability_filter() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(3), Metric::new(2));
-        c.update(n(2), n(3), Metric::new(1));
-        let all: Vec<_> = c.candidates(n(3), |_| true).collect();
-        assert_eq!(all.len(), 2);
-        let only2: Vec<_> = c.candidates(n(3), |nb| nb == n(2)).collect();
-        assert_eq!(only2, vec![(n(2), Metric::new(1))]);
-    }
-
-    #[test]
-    fn candidates_skip_unknown_destinations() {
-        let mut c = NeighborCache::new(4);
-        c.update(n(1), n(0), Metric::new(1));
-        assert_eq!(c.candidates(n(3), |_| true).count(), 0);
+    #[should_panic(expected = "out of range")]
+    fn unknown_slots_are_rejected() {
+        VectorTable::new(4, 2).update(2, 0, Metric::new(1));
     }
 }

@@ -24,6 +24,6 @@ pub mod cache;
 pub mod config;
 pub mod protocol;
 
-pub use cache::NeighborCache;
+pub use cache::VectorTable;
 pub use config::DbfConfig;
 pub use protocol::{Dbf, SelectedRoute};

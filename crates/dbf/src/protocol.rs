@@ -2,7 +2,7 @@
 
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, TimerId, TimerToken};
-use netsim::simulator::ProtocolContext;
+use netsim::simulator::{LinkView, ProtocolContext};
 use netsim::time::SimDuration;
 use routing_core::damping::{TriggerAction, TriggeredScheduler};
 use routing_core::message::{pack_entries, DvEntry, DvMessage};
@@ -12,7 +12,7 @@ use rip::config::SplitHorizon;
 use netsim::dense::DenseMap;
 use std::sync::Arc;
 
-use crate::cache::NeighborCache;
+use crate::cache::VectorTable;
 use crate::config::DbfConfig;
 
 mod timer {
@@ -39,7 +39,10 @@ pub struct SelectedRoute {
 #[derive(Debug)]
 pub struct Dbf {
     config: DbfConfig,
-    cache: NeighborCache,
+    cache: VectorTable,
+    /// The node's link view, copied at the start of each handler that
+    /// selects routes; its indices are the cache's slots.
+    links: Vec<LinkView>,
     selected: Vec<Option<SelectedRoute>>,
     changed: Vec<bool>,
     neighbor_timers: DenseMap<TimerId>,
@@ -73,7 +76,8 @@ impl Dbf {
                 config.triggered_max,
             ),
             config,
-            cache: NeighborCache::default(),
+            cache: VectorTable::default(),
+            links: Vec::new(),
             selected: Vec::new(),
             changed: Vec::new(),
             neighbor_timers: DenseMap::new(),
@@ -86,16 +90,32 @@ impl Dbf {
         self.selected.get(dest.index()).copied().flatten()
     }
 
-    /// Re-runs route selection for `dest` against the cache, updating the
-    /// FIB and the change flag when the outcome differs.
+    /// Copies the node's link view, which stays valid for the rest of the
+    /// handler: perceived link state only changes between events.
+    fn snapshot_links(&mut self, ctx: &ProtocolContext<'_>) {
+        self.links.clear();
+        self.links.extend_from_slice(ctx.links());
+    }
+
+    /// The cache slot of `neighbor` in the link snapshot.
+    fn slot(&self, neighbor: NodeId) -> Option<usize> {
+        self.links.iter().position(|l| l.neighbor == neighbor)
+    }
+
+    /// Re-runs route selection for `dest` against the cache and the link
+    /// snapshot, updating the FIB and the change flag when the outcome
+    /// differs.
     fn recompute(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         if dest == ctx.node() {
             return;
         }
         let best = select_best(
             self.cache
-                .candidates(dest, |n| ctx.neighbor_up(n))
-                .map(|(n, advertised)| (n, advertised + ctx.link_cost(n))),
+                .row(dest.index())
+                .iter()
+                .zip(&self.links)
+                .filter(|(_, link)| link.up)
+                .map(|(&advertised, link)| (link.neighbor, advertised + link.cost)),
         )
         .map(|(next_hop, metric)| SelectedRoute {
             metric,
@@ -210,19 +230,25 @@ impl Dbf {
     }
 
     fn refresh_neighbor_timer(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
+        let timeout = self.config.neighbor_timeout;
+        if let Some(&id) = self.neighbor_timers.get(neighbor) {
+            if ctx.rearm_timer(id, timeout) {
+                return;
+            }
+        }
         let id = ctx.set_timer(
-            self.config.neighbor_timeout,
+            timeout,
             TimerToken::compose(timer::NEIGHBOR_TIMEOUT, neighbor.index() as u64),
         );
-        if let Some(old) = self.neighbor_timers.insert(neighbor, id) {
-            ctx.cancel_timer(old);
-        }
+        self.neighbor_timers.insert(neighbor, id);
     }
 
-    fn drop_neighbor(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
-        self.cache.invalidate(neighbor);
-        if let Some(t) = self.neighbor_timers.remove(neighbor) {
-            ctx.cancel_timer(t);
+    /// Forgets `neighbor`'s vector and re-selects every destination from
+    /// the remaining ones.
+    fn forget_neighbor(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
+        self.snapshot_links(ctx);
+        if let Some(slot) = self.slot(neighbor) {
+            self.cache.invalidate(slot);
         }
         for i in 0..self.selected.len() {
             self.recompute(ctx, NodeId::new(i as u32));
@@ -248,7 +274,7 @@ impl RoutingProtocol for Dbf {
 
     fn on_start(&mut self, ctx: &mut ProtocolContext<'_>) {
         let n = ctx.num_nodes();
-        self.cache = NeighborCache::new(n);
+        self.cache = VectorTable::new(n, ctx.links().len());
         self.selected = vec![None; n];
         self.changed = vec![false; n];
         // Self route, announced like any change.
@@ -270,11 +296,16 @@ impl RoutingProtocol for Dbf {
             return;
         };
         self.refresh_neighbor_timer(ctx, from);
+        self.snapshot_links(ctx);
+        let Some(slot) = self.slot(from) else {
+            debug_assert!(false, "DBF message from non-neighbor {from}");
+            return;
+        };
         for &entry in &message.entries {
             if entry.dest == ctx.node() {
                 continue;
             }
-            self.cache.update(from, entry.dest, entry.metric);
+            self.cache.update(slot, entry.dest.index(), entry.metric);
             self.recompute(ctx, entry.dest);
         }
         self.after_changes(ctx);
@@ -305,11 +336,7 @@ impl RoutingProtocol for Dbf {
             timer::NEIGHBOR_TIMEOUT => {
                 let neighbor = NodeId::new(token.arg() as u32);
                 self.neighbor_timers.remove(neighbor);
-                self.cache.invalidate(neighbor);
-                for i in 0..self.selected.len() {
-                    self.recompute(ctx, NodeId::new(i as u32));
-                }
-                self.after_changes(ctx);
+                self.forget_neighbor(ctx, neighbor);
             }
             other => debug_assert!(false, "unknown DBF timer kind {other}"),
         }
@@ -319,7 +346,10 @@ impl RoutingProtocol for Dbf {
         // The instant switch-over: invalidate the neighbor and re-select
         // every destination from the remaining cached vectors, updating the
         // FIB in the same event.
-        self.drop_neighbor(ctx, neighbor);
+        if let Some(t) = self.neighbor_timers.remove(neighbor) {
+            ctx.cancel_timer(t);
+        }
+        self.forget_neighbor(ctx, neighbor);
     }
 
     fn on_link_up(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {

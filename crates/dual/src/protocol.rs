@@ -6,7 +6,7 @@ use std::sync::Arc;
 use netsim::dense::{DenseMap, DenseSet};
 use netsim::ident::NodeId;
 use netsim::protocol::{Payload, RoutingProtocol, SharedPayload, TimerToken};
-use netsim::simulator::ProtocolContext;
+use netsim::simulator::{LinkView, ProtocolContext};
 use netsim::time::SimDuration;
 use routing_core::metric::Metric;
 use routing_core::select_best;
@@ -83,9 +83,14 @@ impl Dual {
         self.routes.get(dest.index())
     }
 
-    /// Cost closure: unit cost to perceived-up neighbors only.
-    fn up_cost(ctx: &ProtocolContext<'_>, n: NodeId) -> Option<u32> {
-        ctx.neighbor_up(n).then(|| ctx.link_cost(n))
+    /// Cost closure over the node's link view: the link cost to
+    /// perceived-up neighbors only.
+    fn up_cost(links: &[LinkView], n: NodeId) -> Option<u32> {
+        links
+            .iter()
+            .find(|l| l.neighbor == n)
+            .filter(|l| l.up)
+            .map(|l| l.cost)
     }
 
     /// Passive-state local computation for one destination.
@@ -95,7 +100,8 @@ impl Dual {
         }
         let best_feasible = {
             let route = &self.routes[dest.index()];
-            select_best(route.feasible_successors(|n| Self::up_cost(ctx, n)))
+            let links = ctx.links();
+            select_best(route.feasible_successors(|n| Self::up_cost(links, n)))
         };
         match best_feasible {
             Some((successor, distance)) => {
@@ -112,11 +118,12 @@ impl Dual {
             }
             None => {
                 let any_up_report = {
+                    let links = ctx.links();
                     let route = &self.routes[dest.index()];
                     route
                         .reported
                         .keys()
-                        .any(|n| ctx.neighbor_up(n))
+                        .any(|n| Self::up_cost(links, n).is_some())
                 };
                 if any_up_report {
                     self.go_active(ctx, dest);
@@ -140,9 +147,10 @@ impl Dual {
     /// neighbors, await their replies.
     fn go_active(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         let pending: DenseSet = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&n| ctx.neighbor_up(n))
+            .links()
+            .iter()
+            .filter(|l| l.up)
+            .map(|l| l.neighbor)
             .collect();
         {
             let route = &mut self.routes[dest.index()];
@@ -191,7 +199,8 @@ impl Dual {
         if let Some(t) = sia {
             ctx.cancel_timer(t);
         }
-        let best = self.routes[dest.index()].best_any(|n| Self::up_cost(ctx, n));
+        let links = ctx.links();
+        let best = self.routes[dest.index()].best_any(|n| Self::up_cost(links, n));
         let route = &mut self.routes[dest.index()];
         route.state = DualState::Passive;
         match best {

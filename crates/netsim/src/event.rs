@@ -11,6 +11,13 @@
 //! sift operations therefore move 24-byte keys instead of the large event
 //! enum, and popped slots are recycled so a steady-state run stops
 //! allocating once the calendar reaches its high-water mark.
+//!
+//! Timers are the one event kind whose key may outlive its meaning: a
+//! cancelled timer's key stays queued, and a re-armed timer keeps the key
+//! it already has when its deadline only moves later. A
+//! [`EventKind::TimerFired`] therefore carries the sequence number of its
+//! own key, which the engine checks against the timer's slab entry when
+//! the key pops (see [`crate::timers`]).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -49,8 +56,10 @@ pub(crate) enum EventKind {
         channel: crate::ident::ChannelId,
         frame: Frame,
     },
-    /// A protocol timer fired at `node`.
-    TimerFired { node: NodeId, timer: TimerId },
+    /// A timer's calendar key came due. `seq` is the key's own sequence
+    /// number: the timer fires only if the key still stands for it and its
+    /// deadline has not moved later.
+    TimerFired { timer: TimerId, seq: u64 },
     /// Both directions of `link` go down.
     LinkFail { link: LinkId },
     /// Both directions of `link` come back up.
@@ -114,6 +123,8 @@ pub(crate) struct EventQueue {
     now: SimTime,
     /// Peak number of simultaneously pending events.
     high_water: u64,
+    /// Keys pushed over the queue's life.
+    pushes: u64,
 }
 
 impl Default for EventQueue {
@@ -131,6 +142,7 @@ impl EventQueue {
             next_seq: 0,
             now: SimTime::ZERO,
             high_water: 0,
+            pushes: 0,
         }
     }
 
@@ -145,13 +157,31 @@ impl EventQueue {
     ///
     /// Panics if `at` is in the past.
     pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq();
+        self.push(at, seq, kind);
+    }
+
+    /// Reserves the next sequence number: its holder orders after every
+    /// event scheduled so far, and before every one scheduled later.
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Queues `kind` under the key `(at, seq)`, where `seq` came from
+    /// [`EventQueue::next_seq`] and keys no other pending event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         assert!(
             at >= self.now,
             "attempt to schedule an event at {at} before now {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        debug_assert!(seq < self.next_seq, "sequence number was not reserved");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(kind);
@@ -168,6 +198,7 @@ impl EventQueue {
             seq,
             slot,
         });
+        self.pushes += 1;
         self.high_water = self.high_water.max(self.heap.len() as u64);
     }
 
@@ -196,6 +227,11 @@ impl EventQueue {
     /// Peak number of simultaneously pending events over the queue's life.
     pub(crate) fn high_water(&self) -> u64 {
         self.high_water
+    }
+
+    /// Keys pushed over the queue's life.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.pushes
     }
 
     /// Advances the clock to `t` without processing anything (the end of a
@@ -283,6 +319,21 @@ mod tests {
         }
         assert_eq!(q.len(), 0);
         assert_eq!(q.slab.len(), 1, "one slot recycled a hundred times");
+    }
+
+    #[test]
+    fn reserved_sequence_numbers_order_by_reservation() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        let early = q.next_seq();
+        q.schedule(t, marker(1));
+        // Pushed last, but its reserved number predates marker 1's.
+        q.push(t, early, marker(0));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, k)| channel_of(&k))
+            .collect();
+        assert_eq!(order, [0, 1]);
+        assert_eq!(q.pushes(), 2);
     }
 
     #[test]

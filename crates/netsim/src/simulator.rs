@@ -14,26 +14,49 @@ use crate::packet::{DropReason, Packet, DEFAULT_TTL};
 use crate::protocol::{RoutingProtocol, SharedPayload, TimerId, TimerToken};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::timers::{TimerEntry, TimerSlab, TimerTarget};
+use crate::timers::{TimerEntry, TimerKey, TimerSlab, TimerTarget};
 use crate::trace::{Trace, TraceConfig, TraceEvent};
 
 /// A router in the simulated network.
 #[derive(Debug)]
 struct Node {
-    /// Neighbor node, outgoing channel toward it, the undirected link, and
-    /// this node's *perceived* state of that link (updates lag physical
-    /// state by the detection delay).
-    adjacency: Vec<Adjacency>,
+    /// What the node's protocol sees of each attached link, in link
+    /// insertion order (the adjacency order).
+    links: Vec<LinkView>,
+    /// The outgoing channel and undirected link behind each entry of
+    /// `links`, at the same index.
+    ports: Vec<Port>,
     fib: Fib,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Adjacency {
-    neighbor: NodeId,
+struct Port {
     out_channel: ChannelId,
     link: LinkId,
-    cost: u32,
-    perceived_up: bool,
+}
+
+impl Node {
+    /// The port toward `neighbor`, if it is adjacent.
+    fn port_to(&self, neighbor: NodeId) -> Option<Port> {
+        let i = self.links.iter().position(|l| l.neighbor == neighbor)?;
+        Some(self.ports[i])
+    }
+}
+
+/// One of a node's links as its routing protocol perceives it.
+///
+/// [`ProtocolContext::links`] hands out a node's links as a slice in
+/// adjacency order, so a protocol reads it once per handler and selects
+/// routes from contiguous entries instead of looking each neighbor up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkView {
+    /// The node at the far end.
+    pub neighbor: NodeId,
+    /// This node's *perceived* state of the link: updates lag the
+    /// physical state by the link's detection delay.
+    pub up: bool,
+    /// The link's routing cost.
+    pub cost: u32,
 }
 
 /// An undirected link: two channels plus bookkeeping.
@@ -50,7 +73,8 @@ struct LinkInfo {
 /// Aggregate counters updated online (cheap, always on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events processed by the engine.
+    /// Events dispatched by the engine. Timer keys that pop without
+    /// firing ([`SimStats::timer_keys_skipped`]) are not counted.
     pub events_processed: u64,
     /// Data packets injected by traffic sources.
     pub packets_injected: u64,
@@ -69,8 +93,14 @@ pub struct SimStats {
     /// Retransmissions of reliable control frames forced by impairment
     /// loss (each shows up as extra delivery delay, never as a drop).
     pub control_retransmits: u64,
-    /// Peak number of simultaneously pending events in the calendar.
+    /// Peak number of simultaneously pending keys in the event calendar.
     pub queue_high_water: u64,
+    /// Keys pushed onto the event calendar, re-pushed timer keys included.
+    pub calendar_pushes: u64,
+    /// Timer keys that popped without firing: the timer was cancelled,
+    /// or re-armed earlier under a newer key, or re-armed later, in which
+    /// case the key was pushed again at the new deadline.
+    pub timer_keys_skipped: u64,
     /// Control sends whose payload `Arc` was already shared with another
     /// handle at send time — each one is a deep payload clone the old
     /// `Box<dyn Payload>` fan-out would have performed.
@@ -218,7 +248,8 @@ impl SimulatorBuilder {
         let n = self.num_nodes as usize;
         let mut nodes: Vec<Node> = (0..n)
             .map(|_| Node {
-                adjacency: Vec::new(),
+                links: Vec::new(),
+                ports: Vec::new(),
                 fib: Fib::new(n),
             })
             .collect();
@@ -238,20 +269,15 @@ impl SimulatorBuilder {
                 config,
                 up: true,
             });
-            nodes[a.index()].adjacency.push(Adjacency {
-                neighbor: b,
-                out_channel: ab,
-                link,
-                cost: config.cost,
-                perceived_up: true,
-            });
-            nodes[b.index()].adjacency.push(Adjacency {
-                neighbor: a,
-                out_channel: ba,
-                link,
-                cost: config.cost,
-                perceived_up: true,
-            });
+            for (node, neighbor, out_channel) in [(a, b, ab), (b, a, ba)] {
+                let node = &mut nodes[node.index()];
+                node.links.push(LinkView {
+                    neighbor,
+                    up: true,
+                    cost: config.cost,
+                });
+                node.ports.push(Port { out_channel, link });
+            }
         }
         Ok(Simulator {
             nodes,
@@ -333,6 +359,7 @@ impl Simulator {
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats;
         stats.queue_high_water = self.queue.high_water();
+        stats.calendar_pushes = self.queue.pushes();
         stats
     }
 
@@ -435,18 +462,17 @@ impl Simulator {
     #[must_use]
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         self.nodes[node.index()]
-            .adjacency
+            .links
             .iter()
-            .map(|a| a.neighbor)
+            .map(|l| l.neighbor)
             .collect()
     }
 
     /// The undirected link between `a` and `b`, if one exists.
     #[must_use]
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.nodes.get(a.index())?.adjacency.iter().find_map(|adj| {
-            (adj.neighbor == b).then_some(adj.link)
-        })
+        let node = self.nodes.get(a.index())?;
+        node.port_to(b).map(|p| p.link)
     }
 
     /// The two endpoints of `link`.
@@ -631,9 +657,9 @@ impl Simulator {
             return Err(BuildError::NoSuchNode(node));
         }
         let links: Vec<LinkId> = self.nodes[node.index()]
-            .adjacency
+            .ports
             .iter()
-            .map(|a| a.link)
+            .map(|p| p.link)
             .collect();
         for link in links {
             self.queue.schedule(at, EventKind::LinkFail { link });
@@ -663,19 +689,17 @@ impl Simulator {
             let Some((t, kind)) = self.queue.pop() else {
                 break;
             };
-            self.stats.events_processed += 1;
-            self.obs_event_start(t);
-            self.handle(kind);
-            self.obs_exit();
+            self.process(t, kind);
         }
         self.queue.advance_to(until);
     }
 
     /// Like [`Simulator::run_until`], but guarded by an event-budget
-    /// watchdog: once the engine's *lifetime* event count
-    /// ([`SimStats::events_processed`]) reaches `max_events`, the loop
-    /// stops and reports how far it got. The simulation is left in a
-    /// consistent (if unfinished) state and can still be inspected.
+    /// watchdog: once the engine's *lifetime* count of dispatched events
+    /// ([`SimStats::events_processed`], which leaves out skipped timer
+    /// keys) reaches `max_events`, the loop stops and reports how far it
+    /// got. The simulation is left in a consistent (if unfinished) state
+    /// and can still be inspected.
     ///
     /// # Errors
     ///
@@ -704,28 +728,111 @@ impl Simulator {
             let Some((t, kind)) = self.queue.pop() else {
                 break;
             };
-            self.stats.events_processed += 1;
-            self.obs_event_start(t);
-            self.handle(kind);
-            self.obs_exit();
+            self.process(t, kind);
         }
         self.queue.advance_to(until);
         Ok(())
     }
 
     /// Runs until the calendar drains completely; the clock stays at the
-    /// last processed event.
+    /// last popped calendar key.
     pub fn run_to_completion(&mut self) {
         assert!(self.started, "call Simulator::start before run_to_completion");
         while let Some((t, kind)) = self.queue.pop() {
-            self.stats.events_processed += 1;
-            self.obs_event_start(t);
-            self.handle(kind);
-            self.obs_exit();
+            self.process(t, kind);
         }
     }
 
     // ---- internal machinery ----------------------------------------------
+
+    /// Dispatches one popped event, unless it is a timer key that does
+    /// not fire (see [`Simulator::timer_key_fires`]).
+    fn process(&mut self, t: SimTime, kind: EventKind) {
+        if let EventKind::TimerFired { timer, seq } = kind {
+            if !self.timer_key_fires(timer, seq) {
+                self.stats.timer_keys_skipped += 1;
+                return;
+            }
+        }
+        self.stats.events_processed += 1;
+        self.obs_event_start(t);
+        self.handle(kind);
+        self.obs_exit();
+    }
+
+    /// Decides what a popped timer key does. It is dropped when its timer
+    /// is gone or a newer key stands for it, and pushed again at the
+    /// deadline when the timer was re-armed to a later one; otherwise the
+    /// timer fires.
+    fn timer_key_fires(&mut self, timer: TimerId, seq: u64) -> bool {
+        let Some(entry) = self.timers.get_mut(timer) else {
+            return false;
+        };
+        if entry.queued.seq != seq {
+            return false;
+        }
+        if entry.deadline == entry.queued {
+            return true;
+        }
+        entry.queued = entry.deadline;
+        let key = entry.deadline;
+        self.push_timer_key(timer, key);
+        false
+    }
+
+    /// Queues the calendar key `key` for `timer`.
+    fn push_timer_key(&mut self, timer: TimerId, key: TimerKey) {
+        let kind = EventKind::TimerFired {
+            timer,
+            seq: key.seq,
+        };
+        self.queue.push(key.at, key.seq, kind);
+    }
+
+    /// Arms a timer for `node`'s protocol or agent, `after` from now.
+    fn arm_timer(
+        &mut self,
+        node: NodeId,
+        target: TimerTarget,
+        after: SimDuration,
+        token: TimerToken,
+    ) -> TimerId {
+        let key = TimerKey {
+            at: self.now() + after,
+            seq: self.queue.next_seq(),
+        };
+        let timer = self.timers.insert(TimerEntry {
+            owner: node,
+            token,
+            target,
+            deadline: key,
+            queued: key,
+        });
+        self.push_timer_key(timer, key);
+        timer
+    }
+
+    /// Moves an armed timer's deadline to `after` from now, as a cancel
+    /// followed by a set with the same token would, but keeping its id. A
+    /// later deadline only updates the slab entry; an earlier one queues a
+    /// new key. Returns `false`, touching nothing, when `timer` is not
+    /// armed.
+    fn rearm_timer(&mut self, timer: TimerId, after: SimDuration) -> bool {
+        let at = self.now() + after;
+        let Some(entry) = self.timers.get_mut(timer) else {
+            return false;
+        };
+        let key = TimerKey {
+            at,
+            seq: self.queue.next_seq(),
+        };
+        entry.deadline = key;
+        if key < entry.queued {
+            entry.queued = key;
+            self.push_timer_key(timer, key);
+        }
+        true
+    }
 
     /// Opens the per-event dispatch span, first advancing the recorder's
     /// (manual) clock to the event's simulated timestamp.
@@ -782,9 +889,9 @@ impl Simulator {
                 self.on_frame_serialized(channel, epoch);
             }
             EventKind::FrameArrived { channel, frame } => self.on_frame_arrived(channel, frame),
-            EventKind::TimerFired { node, timer } => {
+            EventKind::TimerFired { timer, .. } => {
                 if let Some(entry) = self.timers.take(timer) {
-                    debug_assert_eq!(entry.owner, node);
+                    let node = entry.owner;
                     match entry.target {
                         TimerTarget::Protocol => {
                             self.dispatch(node, |proto, ctx| proto.on_timer(ctx, entry.token));
@@ -1014,10 +1121,8 @@ impl Simulator {
             return;
         };
         let Some(out) = self.nodes[at.index()]
-            .adjacency
-            .iter()
-            .find(|a| a.neighbor == next_hop)
-            .map(|a| a.out_channel)
+            .port_to(next_hop)
+            .map(|p| p.out_channel)
         else {
             // A protocol installed a next hop that is not a neighbor; treat
             // as no route rather than corrupting the run.
@@ -1119,15 +1224,12 @@ impl Simulator {
     }
 
     fn on_link_state_detected(&mut self, node: NodeId, link: LinkId, up: bool) {
-        let mut neighbor = None;
-        for adj in &mut self.nodes[node.index()].adjacency {
-            if adj.link == link {
-                adj.perceived_up = up;
-                neighbor = Some(adj.neighbor);
-                break;
-            }
-        }
-        let Some(neighbor) = neighbor else { return };
+        let n = &mut self.nodes[node.index()];
+        let Some(i) = n.ports.iter().position(|p| p.link == link) else {
+            return;
+        };
+        n.links[i].up = up;
+        let neighbor = n.links[i].neighbor;
         self.record(TraceEvent::LinkStateDetected {
             time: self.now(),
             node,
@@ -1222,13 +1324,20 @@ impl ProtocolContext<'_> {
         self.sim.neighbors(self.node)
     }
 
+    /// This node's links in adjacency order (the order of
+    /// [`ProtocolContext::neighbors`]), with their perceived state and
+    /// cost. Read it once per handler rather than calling
+    /// [`ProtocolContext::neighbor_up`] or [`ProtocolContext::link_cost`]
+    /// per candidate route, each of which scans the adjacency.
+    #[must_use]
+    pub fn links(&self) -> &[LinkView] {
+        &self.sim.nodes[self.node.index()].links
+    }
+
     /// Whether this node currently believes its link to `neighbor` is up.
     #[must_use]
     pub fn neighbor_up(&self, neighbor: NodeId) -> bool {
-        self.sim.nodes[self.node.index()]
-            .adjacency
-            .iter()
-            .any(|a| a.neighbor == neighbor && a.perceived_up)
+        self.links().iter().any(|l| l.neighbor == neighbor && l.up)
     }
 
     /// The routing cost of the link to `neighbor`.
@@ -1238,10 +1347,9 @@ impl ProtocolContext<'_> {
     /// Panics if `neighbor` is not adjacent.
     #[must_use]
     pub fn link_cost(&self, neighbor: NodeId) -> u32 {
-        self.sim.nodes[self.node.index()]
-            .adjacency
+        self.links()
             .iter()
-            .find(|a| a.neighbor == neighbor)
+            .find(|l| l.neighbor == neighbor)
             .unwrap_or_else(|| panic!("{} is not a neighbor of {}", neighbor, self.node))
             .cost
     }
@@ -1262,10 +1370,8 @@ impl ProtocolContext<'_> {
 
     fn send_inner(&mut self, to: NodeId, payload: SharedPayload, reliable: bool) {
         let out = self.sim.nodes[self.node.index()]
-            .adjacency
-            .iter()
-            .find(|a| a.neighbor == to)
-            .map(|a| a.out_channel)
+            .port_to(to)
+            .map(|p| p.out_channel)
             .unwrap_or_else(|| panic!("{} is not a neighbor of {}", to, self.node));
         let bytes = (payload.size_bytes() + 20) as u32;
         self.sim.stats.control_messages_sent += 1;
@@ -1293,20 +1399,20 @@ impl ProtocolContext<'_> {
     /// Arms a one-shot timer `after` from now; the token is returned in
     /// [`RoutingProtocol::on_timer`].
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerId {
-        let id = self.sim.timers.insert(TimerEntry {
-            owner: self.node,
-            token,
-            target: TimerTarget::Protocol,
-        });
-        let at = self.sim.now() + after;
-        self.sim.queue.schedule(
-            at,
-            EventKind::TimerFired {
-                node: self.node,
-                timer: id,
-            },
-        );
-        id
+        self.sim
+            .arm_timer(self.node, TimerTarget::Protocol, after, token)
+    }
+
+    /// Re-arms the pending timer `id` to fire `after` from now, keeping
+    /// its id and token. Exactly equivalent to [`ProtocolContext::cancel_timer`]
+    /// followed by [`ProtocolContext::set_timer`] with the same token (it
+    /// takes the same place among same-instant events), but a refresh that
+    /// pushes the deadline later costs O(1) and no calendar entry.
+    ///
+    /// Returns `false`, and arms nothing, when `id` already fired or was
+    /// cancelled.
+    pub fn rearm_timer(&mut self, id: TimerId, after: SimDuration) -> bool {
+        self.sim.rearm_timer(id, after)
     }
 
     /// Cancels a pending timer; cancelling an already-fired timer is a
@@ -1408,20 +1514,15 @@ impl AppContext<'_> {
     /// Arms a one-shot timer; the token returns in
     /// [`AppAgent::on_timer`].
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerId {
-        let id = self.sim.timers.insert(TimerEntry {
-            owner: self.node,
-            token,
-            target: TimerTarget::App,
-        });
-        let at = self.sim.now() + after;
-        self.sim.queue.schedule(
-            at,
-            EventKind::TimerFired {
-                node: self.node,
-                timer: id,
-            },
-        );
-        id
+        self.sim
+            .arm_timer(self.node, TimerTarget::App, after, token)
+    }
+
+    /// Re-arms the pending timer `id` to fire `after` from now; see
+    /// [`ProtocolContext::rearm_timer`]. Returns `false` when `id` already
+    /// fired or was cancelled.
+    pub fn rearm_timer(&mut self, id: TimerId, after: SimDuration) -> bool {
+        self.sim.rearm_timer(id, after)
     }
 
     /// Cancels a pending timer; harmless if it already fired.

@@ -8,9 +8,20 @@
 //! bits) with a per-slot generation (high 32 bits), so a stale id —
 //! a fired event for a cancelled timer whose slot was since reused —
 //! never matches the new occupant.
+//!
+//! Each entry also records its deadline and the calendar key that stands
+//! for it, which is what makes a re-arm O(1). RIP and DBF refresh a
+//! timeout on every update, so a refresh usually moves the deadline
+//! *later*: the entry's deadline changes and nothing is queued. When the
+//! old key pops, the engine sees the later deadline and re-pushes the key
+//! at exactly the `(time, seq)` that cancel-plus-set would have queued,
+//! so every event still fires in the same order. A re-arm to an earlier
+//! deadline pushes a new key at once, and the old key, no longer the one
+//! recorded, is dropped when it pops.
 
 use crate::ident::NodeId;
 use crate::protocol::{TimerId, TimerToken};
+use crate::time::SimTime;
 
 /// Whether a pending timer belongs to the node's routing protocol or its
 /// application agent.
@@ -20,12 +31,24 @@ pub(crate) enum TimerTarget {
     App,
 }
 
+/// A calendar position: ordered by time, then by sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct TimerKey {
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+}
+
 /// One armed timer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TimerEntry {
     pub(crate) owner: NodeId,
     pub(crate) token: TimerToken,
     pub(crate) target: TimerTarget,
+    /// When the timer fires.
+    pub(crate) deadline: TimerKey,
+    /// The one queued calendar key that stands for this timer; never
+    /// later than `deadline`.
+    pub(crate) queued: TimerKey,
 }
 
 /// Slot-recycling store of armed timers.
@@ -60,15 +83,25 @@ impl TimerSlab {
         TimerId((u64::from(self.gens[slot as usize]) << 32) | u64::from(slot))
     }
 
+    /// The slot of `id`, if its generation is still current.
+    fn slot(&self, id: TimerId) -> Option<usize> {
+        let slot = (id.0 & u64::from(u32::MAX)) as usize;
+        let gen = (id.0 >> 32) as u32;
+        (self.gens.get(slot) == Some(&gen)).then_some(slot)
+    }
+
+    /// The armed entry of `id`; `None` when the timer already fired, was
+    /// cancelled, or the slot was reused since.
+    pub(crate) fn get_mut(&mut self, id: TimerId) -> Option<&mut TimerEntry> {
+        let slot = self.slot(id)?;
+        self.slots[slot].as_mut()
+    }
+
     /// Disarms `id` and returns its entry; `None` when the timer already
     /// fired, was cancelled, or the slot was reused since.
     pub(crate) fn take(&mut self, id: TimerId) -> Option<TimerEntry> {
-        let slot = (id.0 & u64::from(u32::MAX)) as usize;
-        let gen = (id.0 >> 32) as u32;
-        if self.gens.get(slot) != Some(&gen) {
-            return None;
-        }
-        let entry = self.slots.get_mut(slot)?.take()?;
+        let slot = self.slot(id)?;
+        let entry = self.slots[slot].take()?;
         self.free.push(slot as u32);
         Some(entry)
     }
@@ -99,10 +132,16 @@ mod tests {
     use super::*;
 
     fn entry(owner: u32, token: u64) -> TimerEntry {
+        let key = TimerKey {
+            at: SimTime::ZERO,
+            seq: token,
+        };
         TimerEntry {
             owner: NodeId::new(owner),
             token: TimerToken(token),
             target: TimerTarget::Protocol,
+            deadline: key,
+            queued: key,
         }
     }
 
@@ -127,6 +166,25 @@ mod tests {
         assert!(slab.take(a).is_none());
         assert_eq!(slab.take(b).expect("b armed").owner, NodeId::new(2));
         assert_eq!(slab.len(), 0);
+    }
+
+    #[test]
+    fn get_mut_sees_only_armed_timers() {
+        let mut slab = TimerSlab::new();
+        let a = slab.insert(entry(1, 1));
+        slab.get_mut(a).expect("armed").deadline.seq = 9;
+        assert_eq!(slab.take(a).expect("armed").deadline.seq, 9);
+        assert!(slab.get_mut(a).is_none(), "fired timers are gone");
+    }
+
+    #[test]
+    fn keys_order_by_time_then_sequence() {
+        let key = |secs, seq| TimerKey {
+            at: SimTime::from_secs(secs),
+            seq,
+        };
+        assert!(key(1, 9) < key(2, 0));
+        assert!(key(2, 0) < key(2, 1));
     }
 
     #[test]

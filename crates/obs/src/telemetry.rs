@@ -22,9 +22,10 @@ pub struct RunTelemetry {
     pub ok: bool,
     /// Routing protocol under test.
     pub protocol: String,
-    /// Engine events processed.
+    /// Engine events dispatched (timer keys that pop without firing are
+    /// not counted).
     pub events_processed: u64,
-    /// Event-calendar high-water mark (peak pending events).
+    /// Event-calendar high-water mark (peak pending keys).
     pub queue_high_water: u64,
     /// Control messages offered to links.
     pub control_messages: u64,

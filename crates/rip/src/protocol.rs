@@ -238,23 +238,34 @@ impl Rip {
         ctx.remove_route(dest);
     }
 
+    /// Restarts `dest`'s timeout, re-arming the pending timer in place
+    /// when there is one, and stops any garbage collection.
     fn refresh_timeout(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         let timeout = self.config.route_timeout;
-        let new_timer = ctx.set_timer(
-            timeout,
-            TimerToken::compose(timer::TIMEOUT, dest.index() as u64),
-        );
-        if let Some(route) = self.table.get_mut(dest) {
-            if let Some(old) = route.timeout_timer.replace(new_timer) {
-                ctx.cancel_timer(old);
+        let pending = self.table.get(dest).and_then(|r| r.timeout_timer);
+        if !pending.is_some_and(|id| ctx.rearm_timer(id, timeout)) {
+            let new_timer = ctx.set_timer(
+                timeout,
+                TimerToken::compose(timer::TIMEOUT, dest.index() as u64),
+            );
+            if let Some(route) = self.table.get_mut(dest) {
+                route.timeout_timer = Some(new_timer);
             }
-            if let Some(gc) = route.gc_timer.take() {
-                ctx.cancel_timer(gc);
-            }
+        }
+        if let Some(gc) = self.table.get_mut(dest).and_then(|r| r.gc_timer.take()) {
+            ctx.cancel_timer(gc);
         }
     }
 
-    fn process_entry(&mut self, ctx: &mut ProtocolContext<'_>, from: NodeId, entry: DvEntry) {
+    /// Applies one received entry; `cost` is the cost of the link to
+    /// `from`, looked up once per message.
+    fn process_entry(
+        &mut self,
+        ctx: &mut ProtocolContext<'_>,
+        from: NodeId,
+        cost: u32,
+        entry: DvEntry,
+    ) {
         let dest = entry.dest;
         if dest == ctx.node() {
             return; // never accept routes to ourselves
@@ -267,7 +278,7 @@ impl Rip {
                 return;
             }
         }
-        let offered = entry.metric + ctx.link_cost(from);
+        let offered = entry.metric + cost;
         let current = self
             .table
             .get(dest)
@@ -377,8 +388,9 @@ impl RoutingProtocol for Rip {
             debug_assert!(false, "RIP received a non-DV payload");
             return;
         };
+        let cost = ctx.link_cost(from);
         for &entry in &message.entries {
-            self.process_entry(ctx, from, entry);
+            self.process_entry(ctx, from, cost, entry);
         }
         self.after_changes(ctx);
     }

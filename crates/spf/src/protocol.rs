@@ -92,10 +92,10 @@ impl Spf {
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>) {
         self.seq += 1;
         let neighbors: Vec<(NodeId, u32)> = ctx
-            .neighbors()
-            .into_iter()
-            .filter(|&n| ctx.neighbor_up(n))
-            .map(|n| (n, ctx.link_cost(n)))
+            .links()
+            .iter()
+            .filter(|l| l.up)
+            .map(|l| (l.neighbor, l.cost))
             .collect();
         let lsa = Lsa {
             origin: ctx.node(),
