@@ -1,6 +1,5 @@
 //! The BGP protocol engine.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netsim::dense::{DenseMap, DenseSet};
@@ -9,7 +8,7 @@ use netsim::protocol::{Payload, RoutingProtocol, TimerToken};
 use netsim::simulator::ProtocolContext;
 use routing_core::damping::{DampAction, Damper};
 use routing_core::inline::InlineVec;
-use routing_core::path::{AsPath, PathInterner};
+use routing_core::path::AsPath;
 
 use crate::config::{BgpConfig, MraiScope};
 use crate::flap::{FlapDamper, FlapEvent, ReuseOutcome};
@@ -50,15 +49,14 @@ pub struct Bgp {
     pair_pending: DenseMap<DenseSet>,
     /// Bumped when a session resets so stale MRAI timers are ignored.
     epochs: DenseMap<u64>,
-    /// Deduplicating store for AS paths: prepending and re-learning the
-    /// same path returns the shared allocation instead of a fresh one.
-    interner: PathInterner,
     /// RFC 2439 figure-of-merit state (inert when damping is disabled).
     flap: FlapDamper,
     /// Destinations whose best route changed during the current event.
     changed_batch: Vec<NodeId>,
     /// Destinations that became unreachable during the current event.
     withdrawn_batch: Vec<NodeId>,
+    /// `send_routes` scratch: the `(path, dest)` pairs to announce.
+    announce_scratch: Vec<(AsPath, NodeId)>,
 }
 
 impl Bgp {
@@ -99,9 +97,9 @@ impl Bgp {
             pair_dampers: DenseMap::new(),
             pair_pending: DenseMap::new(),
             epochs: DenseMap::new(),
-            interner: PathInterner::new(),
             changed_batch: Vec::new(),
             withdrawn_batch: Vec::new(),
+            announce_scratch: Vec::new(),
         }
     }
 
@@ -115,29 +113,27 @@ impl Bgp {
         self.epochs.get(neighbor).copied().unwrap_or(0)
     }
 
-    /// Interner hit/miss counters (for benchmarks and forensics).
-    #[must_use]
-    pub fn interner_stats(&self) -> (u64, u64) {
-        (self.interner.hits(), self.interner.misses())
-    }
-
     /// Re-runs the decision process for `dest`; best-route changes are
     /// collected into the event batches flushed by [`Bgp::after_changes`].
     fn re_decide(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         if dest == ctx.node() {
             return;
         }
-        let links = ctx.links();
-        let usable = |n| {
-            links.iter().any(|l| l.neighbor == n && l.up) && !self.flap.is_suppressed(n, dest)
-        };
-        let best = select(self.adj_in.candidates(dest, usable))
-        .map(
-            |(neighbor, path)| BestRoute {
-                path: path.clone(),
-                next_hop: Some(neighbor),
-            },
-        );
+        // Candidates come from the neighbors whose link is up; suppression
+        // is consulted only when flap damping is on.
+        let adj_in = &self.adj_in;
+        let flap = self.flap.is_enabled().then_some(&self.flap);
+        let candidates = ctx.links().iter().filter(|l| l.up).filter_map(|l| {
+            let path = adj_in.get(l.neighbor, dest)?;
+            match flap {
+                Some(flap) if flap.is_suppressed(l.neighbor, dest) => None,
+                _ => Some((l.neighbor, path)),
+            }
+        });
+        let best = select(candidates).map(|(neighbor, path)| BestRoute {
+            path: path.clone(),
+            next_hop: Some(neighbor),
+        });
         if self.loc_rib[dest.index()] == best {
             return;
         }
@@ -160,14 +156,11 @@ impl Bgp {
                 }
             }
         }
-        let announce = match &best {
-            Some(route) => Some(match route.next_hop {
-                Some(_) => self.interner.prepended(&route.path, ctx.node()),
-                // The locally originated route already starts with us.
-                None => route.path.clone(),
-            }),
-            None => None,
-        };
+        let announce = best.as_ref().map(|route| match route.next_hop {
+            Some(_) => route.path.prepended(ctx.node()),
+            // The locally originated route already starts with us.
+            None => route.path.clone(),
+        });
         self.announce_cache[dest.index()] = announce;
         self.loc_rib[dest.index()] = best;
     }
@@ -175,63 +168,79 @@ impl Bgp {
     /// The path to announce for `dest`, prepended with the local AS.
     ///
     /// Reads the per-destination cache maintained by [`Bgp::re_decide`]:
-    /// prepending (through the interner) happens once per best-route
-    /// change, so every announcement here is a refcount clone.
+    /// prepending happens once per best-route change, so every
+    /// announcement here is a refcount clone.
     fn announce_path(&self, dest: NodeId) -> Option<AsPath> {
         self.announce_cache.get(dest.index())?.clone()
     }
 
-    /// Sends the current state of `dests` to `neighbor`: announcements
-    /// grouped by path (one update per distinct path, as BGP requires) and
-    /// a withdrawal for anything with no best route.
+    /// Sends the current state of `dests` to `neighbor`: one update per
+    /// distinct path, as BGP requires, in ascending path order, and a
+    /// withdrawal for anything with no best route.
+    ///
+    /// An announced path ends at its own destination, so no two
+    /// destinations share a path and every update announces exactly one;
+    /// grouping by path is a sort of `(path, dest)` pairs.
     fn send_routes(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId, dests: &[NodeId]) {
-        // The destination lists are built as `InlineVec` from the start and
-        // *moved* into the update, so a short announcement never allocates.
-        let mut groups: BTreeMap<AsPath, InlineVec<NodeId, INLINE_DESTS>> = BTreeMap::new();
+        let mut announced = std::mem::take(&mut self.announce_scratch);
         let mut withdrawn: InlineVec<NodeId, INLINE_DESTS> = InlineVec::new();
         for &dest in dests {
             if dest == neighbor {
                 continue; // a peer needs no route to itself
             }
             match self.announce_path(dest) {
-                Some(path) => groups.entry(path).or_default().push(dest),
+                Some(path) => {
+                    debug_assert_eq!(
+                        path.origin_as(),
+                        Some(dest),
+                        "path must end at its destination"
+                    );
+                    announced.push((path, dest));
+                }
                 None => withdrawn.push(dest),
             }
         }
-        for (path, announced) in groups {
-            ctx.send_reliable(neighbor, Arc::new(BgpUpdate::announce(path, announced)));
+        announced.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (path, dest) in announced.drain(..) {
+            let dests: InlineVec<NodeId, INLINE_DESTS> = std::iter::once(dest).collect();
+            ctx.send_reliable(neighbor, Arc::new(BgpUpdate::announce(path, dests)));
         }
+        self.announce_scratch = announced;
         if !withdrawn.is_empty() {
             ctx.send_reliable(neighbor, Arc::new(BgpUpdate::withdraw(withdrawn)));
         }
     }
 
     /// Flushes the event's batches: withdrawals immediately, announcements
-    /// through the MRAI state machine.
+    /// through the MRAI state machine. Both batches keep their capacity.
     fn after_changes(&mut self, ctx: &mut ProtocolContext<'_>) {
-        let withdrawn = std::mem::take(&mut self.withdrawn_batch);
-        if !withdrawn.is_empty() {
-            for neighbor in ctx.neighbors() {
-                if ctx.neighbor_up(neighbor) {
-                    let for_peer: InlineVec<NodeId, INLINE_DESTS> = withdrawn
+        if !self.withdrawn_batch.is_empty() {
+            for i in 0..ctx.links().len() {
+                let link = ctx.links()[i];
+                if link.up {
+                    let for_peer: InlineVec<NodeId, INLINE_DESTS> = self
+                        .withdrawn_batch
                         .iter()
                         .copied()
-                        .filter(|&d| d != neighbor)
+                        .filter(|&d| d != link.neighbor)
                         .collect();
                     if !for_peer.is_empty() {
-                        ctx.send_reliable(neighbor, Arc::new(BgpUpdate::withdraw(for_peer)));
+                        ctx.send_reliable(link.neighbor, Arc::new(BgpUpdate::withdraw(for_peer)));
                     }
                 }
             }
+            self.withdrawn_batch.clear();
         }
-        let batch = std::mem::take(&mut self.changed_batch);
-        if batch.is_empty() {
+        if self.changed_batch.is_empty() {
             return;
         }
-        for neighbor in ctx.neighbors() {
-            if !ctx.neighbor_up(neighbor) {
+        let mut batch = std::mem::take(&mut self.changed_batch);
+        for i in 0..ctx.links().len() {
+            let link = ctx.links()[i];
+            if !link.up {
                 continue;
             }
+            let neighbor = link.neighbor;
             match self.config.mrai_scope {
                 MraiScope::PerNeighbor => self.offer_batch_per_neighbor(ctx, neighbor, &batch),
                 MraiScope::PerNeighborDestination => {
@@ -241,6 +250,8 @@ impl Bgp {
                 }
             }
         }
+        batch.clear();
+        self.changed_batch = batch;
     }
 
     fn offer_batch_per_neighbor(
@@ -335,7 +346,7 @@ impl RoutingProtocol for Bgp {
         self.adj_in = AdjRibIn::new(n);
         self.loc_rib = vec![None; n];
         self.announce_cache = vec![None; n];
-        let origin = self.interner.origin(ctx.node());
+        let origin = AsPath::origin(ctx.node());
         self.announce_cache[ctx.node().index()] = Some(origin.clone());
         self.loc_rib[ctx.node().index()] = Some(BestRoute {
             path: origin,
@@ -366,7 +377,7 @@ impl RoutingProtocol for Bgp {
             // treated as a withdrawal (the split-horizon analog of §3).
             // The stored path is a refcount clone of the sender's hop
             // sequence — the whole Adj-RIB-In fan-in for one announcement
-            // shares a single allocation, no interner lookup needed.
+            // shares a single allocation.
             let filtered = if path.contains(ctx.node()) {
                 None
             } else {

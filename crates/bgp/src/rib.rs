@@ -58,24 +58,6 @@ impl AdjRibIn {
     pub fn clear_neighbor(&mut self, neighbor: NodeId) {
         self.paths.remove(neighbor);
     }
-
-    /// Iterates over `(neighbor, path)` candidates for `dest`, restricted
-    /// by `usable`.
-    pub fn candidates<'a, F>(
-        &'a self,
-        dest: NodeId,
-        usable: F,
-    ) -> impl Iterator<Item = (NodeId, &'a AsPath)> + 'a
-    where
-        F: Fn(NodeId) -> bool + 'a,
-    {
-        self.paths.iter().filter_map(move |(neighbor, table)| {
-            if !usable(neighbor) {
-                return None;
-            }
-            table.get(dest.index())?.as_ref().map(|p| (neighbor, p))
-        })
-    }
 }
 
 /// The selected best route for one destination.
@@ -121,17 +103,6 @@ mod tests {
         rib.set(n(1), n(2), Some(path(&[1, 2])));
         rib.clear_neighbor(n(1));
         assert_eq!(rib.get(n(1), n(2)), None);
-    }
-
-    #[test]
-    fn candidates_filter_unusable_neighbors() {
-        let mut rib = AdjRibIn::new(4);
-        rib.set(n(1), n(3), Some(path(&[1, 3])));
-        rib.set(n(2), n(3), Some(path(&[2, 0, 3])));
-        assert_eq!(rib.candidates(n(3), |_| true).count(), 2);
-        let only: Vec<_> = rib.candidates(n(3), |nb| nb == n(2)).collect();
-        assert_eq!(only.len(), 1);
-        assert_eq!(only[0].0, n(2));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! id order, so every send loop and tie-break that used to rely on tree
 //! order is byte-identical under the dense representation.
 //!
-//! Both containers also keep a sorted index of occupied ids, so
-//! iteration costs O(occupied) rather than O(id-space) — a map holding a
-//! node's 4 neighbors out of 49 ids visits 4 entries, not 49 slots.
-//! Maintaining the index costs a binary search on insert/remove of a
-//! *new* id, which protocol tables do rarely (link events), while they
-//! look up and iterate constantly.
+//! [`DenseMap`] also keeps a sorted index of occupied ids, so iteration
+//! costs O(occupied) rather than O(id-space) — a map holding a node's 4
+//! neighbors out of 49 ids visits 4 entries, not 49 slots. Maintaining
+//! the index costs a binary search on insert/remove of a *new* id, which
+//! protocol tables do rarely (link events), while they look up and
+//! iterate constantly. [`DenseSet`] is a word bitset instead: BGP's MRAI
+//! pending sets insert on every deferred change, and a bit flip beats
+//! shifting a sorted index, while iterating the paper's 49 ids is one
+//! `trailing_zeros` walk over a single word.
 
 use std::fmt;
 
@@ -231,14 +234,14 @@ impl<V> FromIterator<(NodeId, V)> for DenseMap<V> {
     }
 }
 
-/// A set of [`NodeId`]s over a dense id space, stored as a bit-ish
-/// vector. Iteration is in ascending id order, matching
-/// `BTreeSet<NodeId>`.
+/// A set of [`NodeId`]s over a dense id space, stored as a bitset of
+/// 64-bit words with a member count. Iteration is in ascending id order,
+/// matching `BTreeSet<NodeId>`.
 #[derive(Clone, Default)]
 pub struct DenseSet {
-    bits: Vec<bool>,
-    /// Sorted member ids (the iteration order).
-    keys: Vec<u32>,
+    /// Bit `ix % 64` of `words[ix / 64]` is set iff id `ix` is a member.
+    words: Vec<u64>,
+    len: usize,
 }
 
 impl DenseSet {
@@ -251,64 +254,66 @@ impl DenseSet {
     /// Number of members.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Whether the set has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
     /// Adds `id`; returns `true` if it was newly inserted.
     pub fn insert(&mut self, id: NodeId) -> bool {
-        let ix = id.index();
-        if ix >= self.bits.len() {
-            self.bits.resize(ix + 1, false);
+        let (word, bit) = (id.index() / 64, 1_u64 << (id.index() % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
         }
-        let fresh = !self.bits[ix];
-        self.bits[ix] = true;
-        if fresh {
-            if let Err(pos) = self.keys.binary_search(&(ix as u32)) {
-                self.keys.insert(pos, ix as u32);
-            }
-        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(fresh);
         fresh
     }
 
     /// Removes `id`; returns `true` if it was a member.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        let Some(bit) = self.bits.get_mut(id.index()) else {
+        let Some(word) = self.words.get_mut(id.index() / 64) else {
             return false;
         };
-        let was = *bit;
-        *bit = false;
-        if was {
-            if let Ok(pos) = self.keys.binary_search(&(id.index() as u32)) {
-                self.keys.remove(pos);
-            }
-        }
+        let bit = 1_u64 << (id.index() % 64);
+        let was = *word & bit != 0;
+        *word &= !bit;
+        self.len -= usize::from(was);
         was
     }
 
     /// Whether `id` is a member.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.bits.get(id.index()).copied().unwrap_or(false)
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|word| word & (1_u64 << (id.index() % 64)) != 0)
     }
 
     /// Drops every member, keeping the allocation.
     pub fn clear(&mut self) {
-        for &ix in &self.keys {
-            self.bits[ix as usize] = false;
-        }
-        self.keys.clear();
+        self.words.fill(0);
+        self.len = 0;
     }
 
-    /// Iterates members in ascending id order — O(members), not
-    /// O(id-space).
+    /// Iterates members in ascending id order, one word at a time.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.keys.iter().map(|&ix| NodeId::new(ix))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(NodeId::new(w as u32 * 64 + bit))
+            })
+        })
     }
 }
 
@@ -320,7 +325,14 @@ impl fmt::Debug for DenseSet {
 
 impl PartialEq for DenseSet {
     fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys
+        // Logical equality: trailing zero words left by removals must not
+        // distinguish two sets with the same members.
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
     }
 }
 

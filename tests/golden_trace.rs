@@ -6,10 +6,10 @@
 //!   or drifts a timer shows up here as a byte-level diff of the rendered
 //!   trace — *before* it can silently shift the paper's figures.
 //! - **Work counters.** The engine counters of one full-size paper run
-//!   per protocol, plus a BGP link-flap run's path-interner counters, in
-//!   plain text. Unlike wall-clock rates they do not depend on the machine, so
-//!   they are pinned exactly: dead work (an extra timer, a payload clone,
-//!   a lost interner hit) fails here even when no trace record changes.
+//!   per protocol, plus a BGP link-flap run, in plain text. Unlike
+//!   wall-clock rates they do not depend on the machine, so they are
+//!   pinned exactly: dead work (an extra timer, a re-queued key, a lost
+//!   payload share) fails here even when no trace record changes.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -144,9 +144,8 @@ fn paper_work_counters() -> String {
 
 /// Plain BGP on the paper's degree-4 mesh, converged and then put through
 /// three failure/recovery cycles of its lowest link, so every
-/// reconvergence walks routes back through already-interned AS paths.
-/// Reports the engine counters and the path-interner hits and misses
-/// summed over all nodes.
+/// reconvergence walks routes back through already-seen AS paths.
+/// Reports the engine counters.
 fn bgp_flap_work_counters() -> String {
     let cfg = ExperimentConfig::paper(ProtocolKind::Bgp, MeshDegree::D4, COUNTER_SEED);
     let realized = cfg.topology.realize();
@@ -169,24 +168,10 @@ fn bgp_flap_work_counters() -> String {
     }
     sim.run_until(SimTime::from_secs(540));
 
-    let (mut hits, mut misses) = (0, 0);
-    for i in 0..num_nodes {
-        let protocol = sim
-            .protocol(NodeId::new(i as u32))
-            .expect("protocol installed");
-        let bgp = protocol
-            .as_any()
-            .downcast_ref::<Bgp>()
-            .expect("BGP installed on every node");
-        let (h, m) = bgp.interner_stats();
-        hits += h;
-        misses += m;
-    }
     let stats = sim.stats();
     format!(
         "BGP-flap events_processed={} queue_high_water={} control_messages={} \
-         trace_records={} control_payloads_shared={} calendar_pushes={} timer_keys_skipped={} \
-         interner_hits={hits} interner_misses={misses}\n",
+         trace_records={} control_payloads_shared={} calendar_pushes={} timer_keys_skipped={}\n",
         stats.events_processed,
         stats.queue_high_water,
         stats.control_messages_sent,
